@@ -1,12 +1,15 @@
 """degdet: exact degree of the Dieudonne determinant over prime fields.
 
 The solver computes deg Det of sum_k A_k x_k t^{c_k} by certificate descent
-with cost scaling and low-degree truncation, decides singular instances via
-blow-ups, and ships independent oracles (commutative interpolation, blow-up
+with cost scaling and low-degree truncation, decides singular instances with
+the certificate oracle on the constant pencil (returning the verified
+witness), and ships independent oracles (commutative interpolation, blow-up
 reduction, Hungarian matching, Newton-support LP), a multi-prime rational
 pipeline, and the 2x2-partitioned specialization that extracts maximum-weight
 consistent 2-matchings.
 """
+
+from types import ModuleType as _ModuleType
 
 from .errors import (AllPrimesFailedError, DegDetError, DimensionMismatchError,
                      ExtractionFailedError, FormatError, IterationBoundExceededError,
@@ -30,5 +33,6 @@ from .rational import (PrimeBudget, RationalReport, bound_log2, first_primes,
 from .solver import (SolveOptions, SolveReport, normalize_costs, run_phase, solve,
                      solve_with_final_pencil)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, _ModuleType))
 __version__ = "0.1.0"

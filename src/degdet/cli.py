@@ -115,6 +115,7 @@ def _solve_any(inst, opts: SolveOptions) -> dict:
     else:
         target = partitioned.to_instance(inst) if isinstance(inst, PartitionedInstance) else inst
         rep = solve(target, opts)
+        witness = rep.singular_certificate
         body = {
             "mode": "field",
             "value": _jsonable_value(rep.value),
@@ -124,6 +125,8 @@ def _solve_any(inst, opts: SolveOptions) -> dict:
             "oracle_calls": rep.oracle_calls,
             "shift_applied": rep.shift_applied,
             "used_blowup_fallback": rep.used_blowup_fallback,
+            "singular_certificate": (None if witness is None else
+                                     {"r": witness.r, "s": witness.s}),
             "timing": {"total_s": time.perf_counter() - started,
                        "phases_s": list(rep.phase_seconds)},
         }

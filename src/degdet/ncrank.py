@@ -13,10 +13,13 @@ the sequence escapes the image for every sampled max-rank point the
 commutative and noncommutative ranks (probably) differ and
 :class:`NcRankGapError` is raised.
 
-Nc-nonsingularity itself is decided through blow-ups: nc-rank is n exactly
-when a d-fold blow-up has full commutative rank for d = n - 1, so one random
-substitution of the blow-up gives a one-sided test (a "true" is always
-correct).
+Singularity comes from the same oracle: on the constant pencil a
+certificate of value below n has r + s > n, a shrunk subspace that proves
+nc-singularity, and it is verified before it is returned.  The solver uses
+exactly that witness.  :func:`is_nc_nonsingular`, a one-sided test by random
+substitution of the (n-1)-blow-up (nc-rank is n exactly when a d-fold blow-up
+has full commutative rank for d = n - 1), is kept as an independent check;
+the solver does not call it.
 """
 
 from __future__ import annotations
@@ -27,11 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, NcRankGapError
-from .field_linalg import (FieldMatrix, mod_column_space, mod_matmul, mod_nullspace,
-                           mod_rank, mod_rref, as_residues)
-
-_SPLIT = 1 << 16
-_INT64_SAFE_MAX = 2**31 - 1
+from .field_linalg import (_INT64_SAFE_MAX, _SPLIT, FieldMatrix, mod_column_space,
+                           mod_matmul, mod_nullspace, mod_rank, mod_rref)
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,10 @@ def substituted_blowup(pencil: ConstPencil, point: np.ndarray, d: int) -> np.nda
 def is_nc_nonsingular(pencil: ConstPencil, seed: int, attempts: int = 1) -> bool:
     """Decide nc-rank == n by a random substitution of the (n-1)-blow-up.
 
-    One-sided: True is always correct, False may (rarely) be wrong.  A plain
+    An independent check that the solver does not call; the solver decides
+    singularity with a verified :func:`solve_R` certificate instead.
+    One-sided: True is always correct, False may be wrong, chiefly over small
+    fields where every substitution can be rank-deficient.  A plain
     substitution of the pencil itself is tried first; full rank there already
     proves nc-nonsingularity and skips the blow-up entirely.
     """

@@ -20,12 +20,10 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, PrecisionUnsupportedError,
                      RetryExhaustedError, SizeLimitError)
-from .field_linalg import batch_pow
+from .field_linalg import _SPLIT, batch_pow
 from .infinity import MINUS_INFINITY, MinusInfinity, is_minus_infinity
 from .instances import Instance
 from .ncrank import ConstPencil, build_blowup
-
-_SPLIT = 1 << 16
 
 #: A bipartite instance with no perfect matching has deg Det = -infinity,
 #: so the two outcomes share the one distinguished value.

@@ -22,7 +22,7 @@ from .errors import (AllPrimesFailedError, DimensionMismatchError,
                      RetryExhaustedError)
 from .infinity import MinusInfinity
 from .instances import IntegerInstance
-from .solver import SolveOptions, solve
+from .solver import SolveOptions, _limits, solve
 
 
 def bound_log2(n: int, entry_bound: int) -> int:
@@ -103,10 +103,10 @@ def solve_rational_report(inst: IntegerInstance, opts: SolveOptions | None = Non
     budget = prime_budget(inst.n, inst.entry_bound)
     outcomes: list[PrimeOutcome] = []
     best: int | MinusInfinity | None = None
+    base_retries = _limits(opts, inst.n, inst.m).retries
     for idx, p in enumerate(budget.primes):
         seed = (opts.seed * 0x9E3779B1 + idx * 0x85EBCA77 + p) % (2**63)
-        retries = (opts.oracle_retries if opts.oracle_retries is not None else 3 * inst.n)
-        retries *= max(1, -(-32 // p))  # scale the sample budget up for tiny fields
+        retries = base_retries * max(1, -(-32 // p))  # more samples for tiny fields
         per_prime = replace(opts, seed=seed, oracle_retries=retries)
         try:
             reduced = inst.reduce_mod(p)

@@ -12,6 +12,11 @@ calls, and coefficients deeper than 2 n^2 m can never influence the output;
 both facts are enforced at runtime (the first as a configurable assertion,
 the second as the default truncation depth).
 
+Singularity is decided by the same certificate oracle on the constant pencil
+sum_k A_k x_k before any phase runs: a verified certificate with r + s > n is
+a shrunk-subspace proof that deg Det is -infinity, and the report carries it
+as the witness.
+
 If the leading pencil ever has commutative rank strictly below its nc-rank,
 the certificate oracle cannot make progress (NcRankGapError); the driver then
 defers the whole value computation to the blow-up oracle and flags this in
@@ -23,7 +28,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,7 +36,7 @@ from .errors import DimensionMismatchError, IterationBoundExceededError, NcRankG
 from .infinity import MINUS_INFINITY, MinusInfinity, is_minus_infinity
 from .instances import Instance
 from .laurent import LaurentMatrix, LaurentPencil, step_update, truncate
-from .ncrank import ConstPencil, is_nc_nonsingular, solve_R
+from .ncrank import Certificate, ConstPencil, solve_R
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,31 @@ class SolveReport:
     shift_applied: int
     used_blowup_fallback: bool = False
     phase_seconds: tuple[float, ...] = ()  # timing only; excluded from determinism
+    # the constant pencil's certificate (r + s > n) when value is -inf, else None
+    singular_certificate: Certificate | None = None
+
+
+class _Limits(NamedTuple):
+    retries: int
+    depth: int | None
+    bound: int | None
+
+
+def _limits(opts: SolveOptions, n: int, m: int) -> _Limits:
+    """The options with their defaults resolved for an n x n, m-term pencil.
+
+    Retries default to 3 n samples per oracle call.  With scaling the proven
+    per-phase bound n^2 m + 1 applies and truncation defaults to depth 2 n^2 m;
+    without scaling there is no bound and truncation needs an explicit depth.
+    """
+    retries = opts.oracle_retries if opts.oracle_retries is not None else 3 * n
+    depth = None
+    if opts.truncation_enabled:
+        depth = opts.truncation_depth
+        if depth is None and opts.scaling_enabled:
+            depth = 2 * n * n * m
+    bound = n * n * m + 1 if opts.scaling_enabled else None
+    return _Limits(retries, depth, bound)
 
 
 def normalize_costs(costs: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -79,20 +109,25 @@ def _initial_pencil(inst: Instance) -> LaurentPencil:
 
 
 def _run_phase(pencil: LaurentPencil, dstar: int, rng: np.random.Generator,
-               retries: int, depth: int | None, bound: int | None,
-               hard_limit: int | None, warn_only: bool,
-               counter: dict) -> tuple[LaurentPencil, int, int]:
+               lim: _Limits, hard_limit: int | None, warn_only: bool,
+               counter: dict, first: Certificate | None = None
+               ) -> tuple[LaurentPencil, int, int]:
     """Descent until the leading pencil certifies optimum n.
 
-    `bound` is the proven per-phase limit (n^2 m + 1); `hard_limit` is an
-    unconditional stop.  Every oracle call is counted, the terminating one
-    included.
+    `lim.bound` is the proven per-phase limit (n^2 m + 1); `hard_limit` is an
+    unconditional stop.  `first`, when given, is a certificate already found
+    for the starting leading pencil and answers the first oracle call.  Every
+    oracle call is counted, the terminating one included.
     """
     n = pencil.n
+    bound = lim.bound
     iters = 0
     while True:
-        const = ConstPencil(pencil.p, pencil.leading_stack())
-        cert = solve_R(const, int(rng.integers(0, 2**63)), retries)
+        if first is not None:
+            cert, first = first, None
+        else:
+            const = ConstPencil(pencil.p, pencil.leading_stack())
+            cert = solve_R(const, int(rng.integers(0, 2**63)), lim.retries)
         iters += 1
         counter["oracle_calls"] = counter.get("oracle_calls", 0) + 1
         if cert.value == n:
@@ -109,8 +144,8 @@ def _run_phase(pencil: LaurentPencil, dstar: int, rng: np.random.Generator,
             raise IterationBoundExceededError(
                 f"phase exceeded max_phase_iterations={hard_limit}")
         pencil = step_update(pencil, cert.S, cert.T, cert.r, cert.s)
-        if depth is not None:
-            pencil = truncate(pencil, depth)
+        if lim.depth is not None:
+            pencil = truncate(pencil, lim.depth)
         dstar += n - cert.r - cert.s
 
 
@@ -118,15 +153,10 @@ def run_phase(pencil: LaurentPencil, dstar: int, opts: SolveOptions | None = Non
               ) -> tuple[LaurentPencil, int, int]:
     """One descent phase on an explicit pencil (test / driver entry point)."""
     opts = opts or SolveOptions()
-    n, m = pencil.n, pencil.m
     rng = np.random.default_rng(opts.seed)
-    retries = opts.oracle_retries if opts.oracle_retries is not None else 3 * n
-    depth = None
-    if opts.truncation_enabled:
-        depth = opts.truncation_depth if opts.truncation_depth is not None else 2 * n * n * m
-    bound = (n * n * m + 1) if opts.scaling_enabled else None
-    return _run_phase(pencil, dstar, rng, retries, depth, bound,
-                      opts.max_phase_iterations, not opts.enforce_iteration_bound, {})
+    lim = _limits(opts, pencil.n, pencil.m)
+    return _run_phase(pencil, dstar, rng, lim, opts.max_phase_iterations,
+                      not opts.enforce_iteration_bound, {})
 
 
 def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
@@ -141,31 +171,39 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
 
     The pencil is None when the instance is nc-singular or when the value had
     to come from the blow-up fallback.
+
+    The certificate of the constant pencil decides singularity.  With scaling
+    the first phase starts on that same pencil, so the certificate also
+    answers the first phase's first oracle call; without scaling it is an
+    extra call, not counted in `oracle_calls`.
     """
     opts = opts or SolveOptions()
-    n, m = inst.n, inst.m
+    n = inst.n
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
-    retries = opts.oracle_retries if opts.oracle_retries is not None else 3 * n
+    rng.integers(0, 2**63)  # unused draw: keeps the scaling path's seeds as in 0.1.0
+    lim = _limits(opts, n, inst.m)
     shifted, b = normalize_costs(inst.costs)
-    const = ConstPencil(inst.p, inst.stack())
-    nc_attempts = max(1, retries // max(1, n))
-    if not is_nc_nonsingular(const, int(rng.integers(0, 2**63)), attempts=nc_attempts):
-        return SolveReport(MINUS_INFINITY, (), (), 0, 0, b), None
 
     counter: dict = {}
     trace: list[int] = []
     iterations: list[int] = []
     seconds: list[float] = []
     try:
+        cert = solve_R(ConstPencil(inst.p, inst.stack()), int(rng.integers(0, 2**63)),
+                       lim.retries)
+        if cert.value < n:
+            return SolveReport(MINUS_INFINITY, (), (), 0, 0, b,
+                               singular_certificate=cert), None
         if opts.scaling_enabled:
-            value, pencil = _solve_scaling(inst, shifted, opts, rng, retries,
+            value, pencil = _solve_scaling(inst, shifted, opts, rng, lim, cert,
                                            counter, trace, iterations, seconds)
         else:
-            value, pencil = _solve_direct(inst, shifted, opts, rng, retries,
+            value, pencil = _solve_direct(inst, shifted, opts, rng, lim,
                                           counter, trace, iterations, seconds)
     except NcRankGapError:
-        # The leading pencil hit a commutative/noncommutative rank gap that
-        # resampling cannot fix; defer the value to the blow-up oracle.
+        # The constant or a leading pencil hit a commutative/noncommutative
+        # rank gap that resampling cannot fix; defer the value to the blow-up
+        # oracle.
         from .oracles import degdet_blowup
 
         value = degdet_blowup(inst, seed=int(rng.integers(0, 2**63)))
@@ -179,22 +217,18 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
 
 
 def _solve_scaling(inst: Instance, shifted: tuple[int, ...], opts: SolveOptions,
-                   rng: np.random.Generator, retries: int, counter: dict,
-                   trace: list, iterations: list, seconds: list):
+                   rng: np.random.Generator, lim: _Limits, first: Certificate,
+                   counter: dict, trace: list, iterations: list, seconds: list):
     n, m = inst.n, inst.m
     cmax = max(shifted)
     num_doublings = (cmax - 1).bit_length()  # ceil(log2 cmax) for cmax >= 1
-    depth = None
-    if opts.truncation_enabled:
-        depth = opts.truncation_depth if opts.truncation_depth is not None else 2 * n * n * m
-    bound = n * n * m + 1
     pencil = _initial_pencil(inst)
     dstar = n
     for theta in range(num_doublings + 1):
         t0 = time.perf_counter()
-        pencil, dstar, iters = _run_phase(pencil, dstar, rng, retries, depth, bound,
-                                          opts.max_phase_iterations,
-                                          not opts.enforce_iteration_bound, counter)
+        pencil, dstar, iters = _run_phase(pencil, dstar, rng, lim, opts.max_phase_iterations,
+                                          not opts.enforce_iteration_bound, counter,
+                                          first if theta == 0 else None)
         seconds.append(time.perf_counter() - t0)
         iterations.append(iters)
         trace.append(dstar)
@@ -213,14 +247,14 @@ def _solve_scaling(inst: Instance, shifted: tuple[int, ...], opts: SolveOptions,
                 raise AssertionError("scaled cost moved by more than one")
             new_terms.append(sub)
         pencil = LaurentPencil(inst.p, n, m, tuple(new_terms))
-        if depth is not None:
-            pencil = truncate(pencil, depth)
+        if lim.depth is not None:
+            pencil = truncate(pencil, lim.depth)
         dstar *= 2
     return dstar, pencil
 
 
 def _solve_direct(inst: Instance, shifted: tuple[int, ...], opts: SolveOptions,
-                  rng: np.random.Generator, retries: int, counter: dict,
+                  rng: np.random.Generator, lim: _Limits, counter: dict,
                   trace: list, iterations: list, seconds: list):
     """Pseudo-polynomial mode: encode t^{c_k} directly as coefficient degrees.
 
@@ -234,15 +268,13 @@ def _solve_direct(inst: Instance, shifted: tuple[int, ...], opts: SolveOptions,
                   for mat, deg in zip(inst.mats, degrees))
     pencil = LaurentPencil(inst.p, n, m, terms)
     dstar = n * cmax
-    depth = opts.truncation_depth if (opts.truncation_enabled and
-                                      opts.truncation_depth is not None) else None
     # D* descends by at least 1 per step from n*cmax and never passes the
     # optimum, which is >= n for costs >= 1; anything past this is a bug.
     limit = opts.max_phase_iterations if opts.max_phase_iterations is not None \
         else n * cmax + n + 10
     t0 = time.perf_counter()
-    pencil, dstar, iters = _run_phase(pencil, dstar, rng, retries, depth, None,
-                                      limit, not opts.enforce_iteration_bound, counter)
+    pencil, dstar, iters = _run_phase(pencil, dstar, rng, lim, limit,
+                                      not opts.enforce_iteration_bound, counter)
     seconds.append(time.perf_counter() - t0)
     iterations.append(iters)
     trace.append(dstar)
