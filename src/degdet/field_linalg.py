@@ -202,6 +202,47 @@ def mod_column_space(a: np.ndarray, p: int) -> np.ndarray:
     return R[:rank].T.copy()
 
 
+def mod_preimage(a: np.ndarray, wbasis: np.ndarray, p: int) -> np.ndarray:
+    """Canonical basis of {x : a @ x lies in the column span of wbasis}."""
+    null = mod_nullspace(np.concatenate([a, wbasis], axis=1), p)
+    return mod_column_space(null[: a.shape[1]], p)
+
+
+def mod_contains(basis: np.ndarray, cand: np.ndarray, p: int) -> bool:
+    """Whether every column of cand lies in the span of basis (independent columns)."""
+    if cand.shape[1] == 0:
+        return True
+    return mod_rank(np.concatenate([basis, cand], axis=1), p) == basis.shape[1]
+
+
+def _span_columns(stack: np.ndarray, ubasis: np.ndarray, p: int) -> np.ndarray:
+    """All columns B_k u as one (n, m*u) array."""
+    prods = mod_matmul(stack, ubasis, p)  # (m, n, u)
+    m, n, u = prods.shape
+    return prods.transpose(1, 0, 2).reshape(n, m * u)
+
+
+def _mod_sandwich(S: np.ndarray, X: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
+    """S @ X[k] @ T mod p for every k of a (K, n, n) stack X.
+
+    A row of S that is a unit vector picks a row of X, and a column of T that
+    is a unit vector picks a column; only the other rows and columns go
+    through :func:`mod_matmul`.  Residues are nonnegative, so a line summing
+    to exactly 1 is a unit vector and ``argmax`` finds its 1.  A certificate
+    made of identity picks plus r dense rows and s dense columns thus costs
+    K n^2 (r + s) multiply-adds instead of 2 K n^3.
+    """
+    dense = np.flatnonzero(S.sum(axis=1) != 1)
+    mid = X[:, S.argmax(axis=1), :]
+    if dense.size:
+        mid[:, dense, :] = mod_matmul(S[dense], X, p)
+    dense = np.flatnonzero(T.sum(axis=0) != 1)
+    out = mid[:, :, T.argmax(axis=0)]
+    if dense.size:
+        out[:, :, dense] = mod_matmul(mid, T[:, dense], p)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Public wrappers
 
@@ -326,14 +367,10 @@ class Subspace:
 
     def contains(self, vector: Iterable[int]) -> bool:
         v = as_residues(list(vector), self.p).reshape(-1, 1)
-        joint = np.concatenate([self.basis.data, v], axis=1)
-        return mod_rank(joint, self.p) == self.dim
+        return mod_contains(self.basis.data, v, self.p)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        if other.dim == 0:
-            return True
-        joint = np.concatenate([self.basis.data, other.basis.data], axis=1)
-        return mod_rank(joint, self.p) == self.dim
+        return mod_contains(self.basis.data, other.basis.data, self.p)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
@@ -365,9 +402,7 @@ def preimage(M: FieldMatrix, W: Subspace) -> Subspace:
     """{x : M x lies in span(W)}; always contains the nullspace of M."""
     if W.ambient_dim != M.rows:
         raise DimensionMismatchError("preimage target lives in the wrong ambient space")
-    combined = np.concatenate([M.data, W.basis.data], axis=1)
-    null = mod_nullspace(combined, M.p)
-    return Subspace.from_columns(M.p, null[: M.cols])
+    return Subspace(M.cols, FieldMatrix(M.p, mod_preimage(M.data, W.basis.data, M.p)))
 
 
 def span_union(mats: Sequence[FieldMatrix], U: Subspace) -> Subspace:
@@ -383,10 +418,3 @@ def span_union(mats: Sequence[FieldMatrix], U: Subspace) -> Subspace:
         return Subspace.zero(p, n)
     stack = np.stack([mat.data for mat in mats])
     return Subspace.from_columns(p, _span_columns(stack, U.basis.data, p))
-
-
-def _span_columns(stack: np.ndarray, ubasis: np.ndarray, p: int) -> np.ndarray:
-    """All columns B_k u as one (n, m*u) array."""
-    prods = mod_matmul(stack, ubasis, p)  # (m, n, u)
-    m, n, u = prods.shape
-    return prods.transpose(1, 0, 2).reshape(n, m * u)

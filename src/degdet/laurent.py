@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, PositiveDegreeError
-from .field_linalg import FieldMatrix, as_residues, mod_matmul
+from .field_linalg import FieldMatrix, _mod_sandwich, as_residues
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,15 @@ def step_update(pencil: LaurentPencil, S: FieldMatrix, T: FieldMatrix,
     if not slabs:
         return pencil
     # one batched S @ . @ T over every stored coefficient of every term
-    mid_all = mod_matmul(mod_matmul(S.data, np.stack(slabs), p), T.data, p)
+    mid_all = _mod_sandwich(S.data, np.stack(slabs), T.data, p)
+    K = len(slabs)
+    # which of each slab's four blocks are nonzero; a bucket is only made for
+    # a nonzero block, and the four blocks a bucket receives are disjoint, so
+    # every bucket ends up nonzero
+    lifted, kept_top, kept_bottom, dropped = (
+        block.reshape(K, -1).any(axis=1).tolist()
+        for block in (mid_all[:, :r, cut:], mid_all[:, :r, :cut],
+                      mid_all[:, r:, cut:], mid_all[:, r:, :cut]))
     new_terms = []
     offset = 0
     for term, degs in zip(pencil.terms, per_term_degs):
@@ -178,26 +186,23 @@ def step_update(pencil: LaurentPencil, S: FieldMatrix, T: FieldMatrix,
                 target[deg] = got
             return got
 
-        for idx, d in enumerate(degs):
-            piece = mid_all[offset + idx]
-            if r and s and np.any(piece[:r, cut:]):
+        for k, d in enumerate(degs, offset):
+            piece = mid_all[k]
+            if lifted[k]:
                 if d == 0:
                     raise PositiveDegreeError(
                         "certificate zero-block violated: entries would reach degree +1")
                 bucket(d + 1)[:r, cut:] = piece[:r, cut:]
-            if r and cut:
+            if kept_top[k]:
                 bucket(d)[:r, :cut] = piece[:r, :cut]
-            if s and r < n:
+            if kept_bottom[k]:
                 bucket(d)[r:, cut:] = piece[r:, cut:]
-            if cut and r < n:
+            if dropped[k]:
                 bucket(d - 1)[r:, :cut] = piece[r:, :cut]
         offset += len(degs)
-        cleaned = {}
-        for deg, arr in target.items():
-            if np.any(arr):
-                arr.flags.writeable = False
-                cleaned[deg] = arr
-        new_terms.append(LaurentMatrix._wrap(p, n, cleaned))
+        for arr in target.values():
+            arr.flags.writeable = False
+        new_terms.append(LaurentMatrix._wrap(p, n, target))
     return LaurentPencil(p, n, pencil.m, tuple(new_terms))
 
 

@@ -65,7 +65,6 @@ def first_primes(ell: int) -> list[int]:
 @dataclass(frozen=True)
 class PrimeBudget:
     d: int
-    L_log2: int
     ell: int
     primes: tuple[int, ...]
 
@@ -73,7 +72,7 @@ class PrimeBudget:
 def prime_budget(n: int, entry_bound: int) -> PrimeBudget:
     d = max(1, n - 1)
     ell = max(1, bound_log2(n, entry_bound))
-    return PrimeBudget(d, ell, ell, tuple(first_primes(ell)))
+    return PrimeBudget(d, ell, tuple(first_primes(ell)))
 
 
 @dataclass(frozen=True)
