@@ -57,7 +57,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--prime", type=int, default=None)
     parser.add_argument("--no-scaling", action="store_true")
     parser.add_argument("--no-truncate", action="store_true")
-    parser.add_argument("--truncate-depth", type=int, default=None)
+    parser.add_argument("--truncate-depth", type=int, default=None,
+                        help="needs scaling and a depth of at least 2 n^2 m")
     parser.add_argument("--out", type=Path, default=None)
 
 

@@ -117,11 +117,6 @@ def batch_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
     return result
 
 
-def batch_inv(a: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise modular inverse; zeros map to zero."""
-    return batch_pow(a, p - 2, p)
-
-
 def mod_rref(a: np.ndarray, p: int, transform: bool = False):
     """Reduced row-echelon form over GF(p).
 
@@ -273,10 +268,6 @@ class FieldMatrix:
     @classmethod
     def identity(cls, p: int, n: int) -> "FieldMatrix":
         return cls(p, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def random(cls, p: int, rows: int, cols: int, rng: np.random.Generator) -> "FieldMatrix":
-        return cls(p, rng.integers(0, p, size=(rows, cols)))
 
     # -- shape -------------------------------------------------------------
     @property

@@ -37,9 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, NcRankGapError
-from .field_linalg import (_INT64_SAFE_MAX, _SPLIT, FieldMatrix, _span_columns,
-                           mod_column_space, mod_contains, mod_matmul, mod_nullspace,
-                           mod_preimage, mod_rank, mod_rref)
+from .field_linalg import (FieldMatrix, _span_columns, mod_column_space, mod_contains,
+                           mod_matmul, mod_nullspace, mod_preimage, mod_rank, mod_rref)
 
 
 @dataclass(frozen=True)
@@ -219,28 +218,17 @@ class BlowupPencil:
     d: int
     mats: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.mats.shape[1]
-
-    def as_pencil(self) -> ConstPencil:
-        return ConstPencil(self.p, self.mats)
-
 
 def substituted_blowup(pencil: ConstPencil, point: np.ndarray, d: int) -> np.ndarray:
-    """Evaluate the d-blow-up at x_{k,i,j} = point[k,i,j] without materializing it."""
-    stack = pencil.stack
-    n = pencil.n
-    if stack.dtype == object or pencil.p > _INT64_SAFE_MAX:
-        total = np.zeros((n * d, n * d), dtype=object)
-        for k in range(pencil.m):
-            total = (total + np.kron(np.asarray(point[k], dtype=object), stack[k])) % pencil.p
-        return total
-    x = np.asarray(point, dtype=np.int64)
-    hi, lo = x >> 16, x & 0xFFFF
-    out = (np.einsum("kij,kab->iajb", hi, stack) % pencil.p * _SPLIT
-           + np.einsum("kij,kab->iajb", lo, stack)) % pencil.p
-    return out.reshape(n * d, n * d)
+    """Evaluate the d-blow-up at x_{k,i,j} = point[k,i,j] without materializing it.
+
+    Block (i, j) of the result is sum_k point[k,i,j] B_k: one (d^2, m) by
+    (m, n^2) product, rearranged into the (n d, n d) block matrix.
+    """
+    m, n = pencil.m, pencil.n
+    points = np.asarray(point).reshape(m, d * d).T
+    blocks = mod_matmul(points, pencil.stack.reshape(m, n * n), pencil.p)
+    return blocks.reshape(d, d, n, n).transpose(0, 2, 1, 3).reshape(n * d, n * d)
 
 
 def is_nc_nonsingular(pencil: ConstPencil, seed: int, attempts: int = 1) -> bool:

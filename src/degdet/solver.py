@@ -3,14 +3,21 @@
 The driver keeps the problem in coefficient-updating form.  A phase runs the
 plain descent loop: solve (R) for the leading pencil, and while the optimum
 is below n, lift the certified rows by t and drop the complementary columns
-by t^-1, accumulating n - r - s into the running degree count D*.  Between
-phases the scaled costs double (minus an occasional 1 per variable), realized
-on the pencil as B_k(t^2), optionally times t^-1, with D* doubling.
+by t^-1, accumulating n - r - s into the running degree count D*.
+
+One driver runs phases theta = 0..N on the costs c_k (shifted to be >= 1)
+scaled down by 2^N: A_k starts at degree ceil(c_k / 2^N) - max_j ceil(c_j /
+2^N) and D* at n max_j ceil(c_j / 2^N).  Between phases the scaled costs
+double (minus an occasional 1 per variable), realized on the pencil as
+B_k(t^2), optionally times t^-1, with D* doubling.  With scaling
+N = ceil(log2 max c), so phase 0 starts on the constant pencil; the
+pseudo-polynomial mode is N = 0, one phase on the unscaled costs.
 
 With scaling enabled every phase provably needs at most n^2 m + 1 oracle
 calls, and coefficients deeper than 2 n^2 m can never influence the output;
 both facts are enforced at runtime (the first as a configurable assertion,
-the second as the default truncation depth).
+the second as the default truncation depth).  Without scaling neither
+holds: no bound applies and no truncation depth is accepted.
 
 Singularity is decided by the same certificate oracle on the constant pencil
 sum_k A_k x_k before any phase runs: a verified certificate with r + s > n is
@@ -33,7 +40,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, IterationBoundExceededError, NcRankGapError
-from .infinity import MINUS_INFINITY, MinusInfinity, is_minus_infinity
+from .infinity import MINUS_INFINITY, MinusInfinity
 from .instances import Instance
 from .laurent import LaurentMatrix, LaurentPencil, step_update, truncate
 from .ncrank import Certificate, ConstPencil, solve_R
@@ -46,7 +53,9 @@ class SolveOptions:
     seed: int = 0
     scaling_enabled: bool = True
     truncation_enabled: bool = True
-    truncation_depth: int | None = None  # None: 2 n^2 m with scaling, off without
+    # None: 2 n^2 m with scaling, off without; an explicit depth needs
+    # scaling and at least 2 n^2 m (shallower can change the value)
+    truncation_depth: int | None = None
     max_phase_iterations: int | None = None
     oracle_retries: int | None = None  # None: 3 n samples per oracle call
     enforce_iteration_bound: bool = True  # False downgrades the bound to a warning
@@ -81,14 +90,21 @@ def _limits(opts: SolveOptions, n: int, m: int) -> _Limits:
 
     Retries default to 3 n samples per oracle call.  With scaling the proven
     per-phase bound n^2 m + 1 applies and truncation defaults to depth 2 n^2 m;
-    without scaling there is no bound and truncation needs an explicit depth.
+    without scaling there is no bound and no truncation.  An explicit depth
+    below 2 n^2 m, or any explicit depth without scaling, could silently
+    change the value, so it raises DimensionMismatchError.
     """
     retries = opts.oracle_retries if opts.oracle_retries is not None else 3 * n
+    safe = 2 * n * n * m
     depth = None
     if opts.truncation_enabled:
         depth = opts.truncation_depth
-        if depth is None and opts.scaling_enabled:
-            depth = 2 * n * n * m
+        if depth is None:
+            depth = safe if opts.scaling_enabled else None
+        elif depth < safe or not opts.scaling_enabled:
+            raise DimensionMismatchError(
+                f"truncation_depth={depth} is not proven safe: it needs scaling "
+                f"and a depth of at least 2 n^2 m = {safe}")
     bound = n * n * m + 1 if opts.scaling_enabled else None
     return _Limits(retries, depth, bound)
 
@@ -103,33 +119,30 @@ def _ceil_div(a: int, d: int) -> int:
     return -(-a // d)
 
 
-def _initial_pencil(inst: Instance) -> LaurentPencil:
-    terms = tuple(LaurentMatrix.from_constant(inst.p, mat.data) for mat in inst.mats)
-    return LaurentPencil(inst.p, inst.n, inst.m, terms)
-
-
 def _run_phase(pencil: LaurentPencil, dstar: int, rng: np.random.Generator,
                lim: _Limits, hard_limit: int | None, warn_only: bool,
-               counter: dict, first: Certificate | None = None
+               calls: list[int], first: Certificate | None = None
                ) -> tuple[LaurentPencil, int, int]:
     """Descent until the leading pencil certifies optimum n.
 
     `lim.bound` is the proven per-phase limit (n^2 m + 1); `hard_limit` is an
     unconditional stop.  `first`, when given, is a certificate already found
-    for the starting leading pencil and answers the first oracle call.  Every
-    oracle call is counted, the terminating one included.
+    for the starting leading pencil and answers the first oracle call.  The
+    phase appends one entry to `calls` and counts every answered oracle call
+    in it, the terminating one included, so the count survives an
+    NcRankGapError that cuts the phase short.
     """
     n = pencil.n
     bound = lim.bound
-    iters = 0
+    calls.append(0)
     while True:
         if first is not None:
             cert, first = first, None
         else:
             const = ConstPencil(pencil.p, pencil.leading_stack())
             cert = solve_R(const, int(rng.integers(0, 2**63)), lim.retries)
-        iters += 1
-        counter["oracle_calls"] = counter.get("oracle_calls", 0) + 1
+        calls[-1] += 1
+        iters = calls[-1]
         if cert.value == n:
             return pencil, dstar, iters
         if bound is not None and iters >= bound:
@@ -156,7 +169,7 @@ def run_phase(pencil: LaurentPencil, dstar: int, opts: SolveOptions | None = Non
     rng = np.random.default_rng(opts.seed)
     lim = _limits(opts, pencil.n, pencil.m)
     return _run_phase(pencil, dstar, rng, lim, opts.max_phase_iterations,
-                      not opts.enforce_iteration_bound, {})
+                      not opts.enforce_iteration_bound, [])
 
 
 def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
@@ -184,22 +197,18 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
     lim = _limits(opts, n, inst.m)
     shifted, b = normalize_costs(inst.costs)
 
-    counter: dict = {}
-    trace: list[int] = []
-    iterations: list[int] = []
-    seconds: list[float] = []
+    calls: list[int] = []  # answered oracle calls, one entry per phase begun
+    done: list[tuple[int, float]] = []  # (D*, seconds) per finished phase
+    pencil = witness = None
+    fallback = False
     try:
         cert = solve_R(ConstPencil(inst.p, inst.stack()), int(rng.integers(0, 2**63)),
                        lim.retries)
         if cert.value < n:
-            return SolveReport(MINUS_INFINITY, (), (), 0, 0, b,
-                               singular_certificate=cert), None
-        if opts.scaling_enabled:
-            value, pencil = _solve_scaling(inst, shifted, opts, rng, lim, cert,
-                                           counter, trace, iterations, seconds)
+            value, witness = MINUS_INFINITY, cert
         else:
-            value, pencil = _solve_direct(inst, shifted, opts, rng, lim,
-                                          counter, trace, iterations, seconds)
+            dstar, pencil = _descend(inst, shifted, opts, rng, lim, cert, calls, done)
+            value = dstar - n * b
     except NcRankGapError:
         # The constant or a leading pencil hit a commutative/noncommutative
         # rank gap that resampling cannot fix; defer the value to the blow-up
@@ -207,75 +216,59 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
         from .oracles import degdet_blowup
 
         value = degdet_blowup(inst, seed=int(rng.integers(0, 2**63)))
-        return SolveReport(value, tuple(trace), tuple(iterations), len(iterations),
-                           counter.get("oracle_calls", 0), b, used_blowup_fallback=True,
-                           phase_seconds=tuple(seconds)), None
-    value = value - n * b if not is_minus_infinity(value) else value
-    report = SolveReport(value, tuple(trace), tuple(iterations), len(iterations),
-                         counter.get("oracle_calls", 0), b, phase_seconds=tuple(seconds))
+        fallback = True
+    report = SolveReport(value, tuple(d for d, _ in done), tuple(calls[:len(done)]),
+                         len(done), sum(calls), b, used_blowup_fallback=fallback,
+                         phase_seconds=tuple(sec for _, sec in done),
+                         singular_certificate=witness)
     return report, pencil
 
 
-def _solve_scaling(inst: Instance, shifted: tuple[int, ...], opts: SolveOptions,
-                   rng: np.random.Generator, lim: _Limits, first: Certificate,
-                   counter: dict, trace: list, iterations: list, seconds: list):
-    n, m = inst.n, inst.m
-    cmax = max(shifted)
-    num_doublings = (cmax - 1).bit_length()  # ceil(log2 cmax) for cmax >= 1
-    pencil = _initial_pencil(inst)
-    dstar = n
-    for theta in range(num_doublings + 1):
-        t0 = time.perf_counter()
-        pencil, dstar, iters = _run_phase(pencil, dstar, rng, lim, opts.max_phase_iterations,
-                                          not opts.enforce_iteration_bound, counter,
-                                          first if theta == 0 else None)
-        seconds.append(time.perf_counter() - t0)
-        iterations.append(iters)
-        trace.append(dstar)
-        if theta == num_doublings:
-            break
-        den_now = 1 << (num_doublings - theta)
-        den_next = den_now >> 1
-        new_terms = []
-        for k, term in enumerate(pencil.terms):
-            c_now = _ceil_div(shifted[k], den_now)
-            c_next = _ceil_div(shifted[k], den_next)
-            sub = term.square_substitute()
-            if c_next == 2 * c_now - 1:
-                sub = sub.scale_tinv()
-            elif c_next != 2 * c_now:  # pragma: no cover - arithmetic impossibility
-                raise AssertionError("scaled cost moved by more than one")
-            new_terms.append(sub)
-        pencil = LaurentPencil(inst.p, n, m, tuple(new_terms))
-        if lim.depth is not None:
-            pencil = truncate(pencil, lim.depth)
-        dstar *= 2
-    return dstar, pencil
+def _descend(inst: Instance, shifted: tuple[int, ...], opts: SolveOptions,
+             rng: np.random.Generator, lim: _Limits, first: Certificate,
+             calls: list[int], done: list[tuple[int, float]]
+             ) -> tuple[int, LaurentPencil]:
+    """Phases theta = 0..N on the costs scaled by 2^-N (see the module docstring).
 
-
-def _solve_direct(inst: Instance, shifted: tuple[int, ...], opts: SolveOptions,
-                  rng: np.random.Generator, lim: _Limits, counter: dict,
-                  trace: list, iterations: list, seconds: list):
-    """Pseudo-polynomial mode: encode t^{c_k} directly as coefficient degrees.
-
-    Placing A_k at degree c_k - max_j c_j keeps every degree nonpositive; the
-    uniform shift is paid back through the starting value D* = n * max_j c_j.
+    With scaling phase 0 starts on the constant pencil, whose certificate
+    `first` answers the first oracle call; without scaling N = 0.
     """
     n, m = inst.n, inst.m
     cmax = max(shifted)
-    degrees = [c - cmax for c in shifted]
-    terms = tuple(LaurentMatrix.from_constant(inst.p, mat.data, deg)
-                  for mat, deg in zip(inst.mats, degrees))
+    hard_limit = opts.max_phase_iterations
+    if opts.scaling_enabled:
+        num_doublings = (cmax - 1).bit_length()  # ceil(log2 cmax) for cmax >= 1
+    else:
+        num_doublings, first = 0, None
+        # D* descends by at least 1 per step from n*cmax and never passes the
+        # optimum, which is >= n for costs >= 1; anything past this is a bug.
+        if hard_limit is None:
+            hard_limit = n * cmax + n + 10
+    scale = 1 << num_doublings
+    top = _ceil_div(cmax, scale)
+    terms = tuple(LaurentMatrix.from_constant(inst.p, mat.data, _ceil_div(c, scale) - top)
+                  for mat, c in zip(inst.mats, shifted))
     pencil = LaurentPencil(inst.p, n, m, terms)
-    dstar = n * cmax
-    # D* descends by at least 1 per step from n*cmax and never passes the
-    # optimum, which is >= n for costs >= 1; anything past this is a bug.
-    limit = opts.max_phase_iterations if opts.max_phase_iterations is not None \
-        else n * cmax + n + 10
-    t0 = time.perf_counter()
-    pencil, dstar, iters = _run_phase(pencil, dstar, rng, lim, limit,
-                                      not opts.enforce_iteration_bound, counter)
-    seconds.append(time.perf_counter() - t0)
-    iterations.append(iters)
-    trace.append(dstar)
+    dstar = n * top
+    for theta in range(num_doublings + 1):
+        if theta:
+            den = 1 << (num_doublings - theta)
+            new_terms = []
+            for c, term in zip(shifted, pencil.terms):
+                sub = term.square_substitute()
+                drop = 2 * _ceil_div(c, 2 * den) - _ceil_div(c, den)
+                if drop == 1:
+                    sub = sub.scale_tinv()
+                elif drop:  # pragma: no cover - arithmetic impossibility
+                    raise AssertionError("scaled cost moved by more than one")
+                new_terms.append(sub)
+            pencil = LaurentPencil(inst.p, n, m, tuple(new_terms))
+            if lim.depth is not None:
+                pencil = truncate(pencil, lim.depth)
+            dstar *= 2
+        t0 = time.perf_counter()
+        pencil, dstar, _ = _run_phase(pencil, dstar, rng, lim, hard_limit,
+                                      not opts.enforce_iteration_bound, calls, first)
+        done.append((dstar, time.perf_counter() - t0))
+        first = None
     return dstar, pencil
