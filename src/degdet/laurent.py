@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, PositiveDegreeError
-from .field_linalg import FieldMatrix, _mod_sandwich, as_residues
+from .field_linalg import FieldMatrix, _dtype_for, _mod_sandwich, as_residues
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,10 @@ class LaurentPencil:
 
     def leading_stack(self) -> np.ndarray:
         """(m, n, n) array of degree-0 coefficients."""
-        return np.stack([t.leading() for t in self.terms])
+        out = np.zeros((self.m, self.n, self.n), dtype=_dtype_for(self.p))
+        for k, term in enumerate(self.terms):
+            out[k] = term.coeffs.get(0, 0)
+        return out
 
 
 def leading(pencil: LaurentPencil) -> list[FieldMatrix]:

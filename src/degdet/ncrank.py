@@ -59,6 +59,15 @@ class ConstPencil:
         object.__setattr__(self, "stack", arr)
 
     @classmethod
+    def _wrap(cls, p: int, stack: np.ndarray) -> "ConstPencil":
+        # internal fast path: a fresh (m, n, n) stack, already reduced mod p
+        stack.flags.writeable = False
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "p", p)
+        object.__setattr__(obj, "stack", stack)
+        return obj
+
+    @classmethod
     def from_matrices(cls, mats: Sequence[FieldMatrix]) -> "ConstPencil":
         p = mats[0].p
         return cls(p, np.stack([m.data for m in mats]))

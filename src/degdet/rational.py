@@ -1,16 +1,14 @@
-"""deg Det over the rationals by reduction to GF(p) for the first few primes.
+"""deg Det over the rationals by reduction to GF(p) for a few word-size primes.
 
 Every per-prime value lower-bounds the rational one, and the coefficient
 bound L = (nd)^{2nd} D^{nd} (d = n - 1, floored at 1) guarantees that some
-prime among the first ceil(log2 L) + 1 attains it, since the max-weight
-expansion coefficient cannot vanish modulo all of them at once.  The +1 keeps
-the prime product strictly above L even when L is a power of two.
-
-Tiny primes can starve the randomized certificate oracle; such primes retry
-with a larger sample budget, then fall back to the blow-up oracle, and are
-skipped (with a recorded reason) when even that needs more evaluation points
-than the field holds.  A skip can only lose a lower bound, never inflate the
-maximum.
+prime of a set whose product exceeds L attains it, since the max-weight
+expansion coefficient cannot vanish modulo all of them at once.  The primes
+are taken downward from 2**31 - 1 until their exact product reaches 2**ell
+> L, about log2 L / 31 of them (the standard multi-modular choice, von zur
+Gathen & Gerhard, Modern Computer Algebra, ch. 5).  A prime whose solve
+raises a sampling or precision error is skipped with a recorded reason; a
+skip can only lose a lower bound, never inflate the maximum.
 """
 
 from __future__ import annotations
@@ -20,9 +18,10 @@ from dataclasses import dataclass, replace
 from .errors import (AllPrimesFailedError, DimensionMismatchError,
                      IterationBoundExceededError, PrecisionUnsupportedError,
                      RetryExhaustedError)
+from .field_linalg import is_prime
 from .infinity import MinusInfinity
 from .instances import IntegerInstance
-from .solver import SolveOptions, _limits, solve
+from .solver import SolveOptions, solve
 
 
 def bound_log2(n: int, entry_bound: int) -> int:
@@ -35,14 +34,7 @@ def bound_log2(n: int, entry_bound: int) -> int:
         raise DimensionMismatchError("need n >= 1 and entry_bound >= 1")
     d = max(1, n - 1)
     L = (n * d) ** (2 * n * d) * entry_bound ** (n * d)
-    return _ceil_log2(L) + 1
-
-
-def _ceil_log2(value: int) -> int:
-    if value < 1:
-        raise DimensionMismatchError("log2 of a nonpositive value")
-    bits = value.bit_length()
-    return bits - 1 if value == 1 << (bits - 1) else bits
+    return (L - 1).bit_length() + 1  # (L - 1).bit_length() == ceil(log2 L) for L >= 1
 
 
 def first_primes(ell: int) -> list[int]:
@@ -65,14 +57,20 @@ def first_primes(ell: int) -> list[int]:
 @dataclass(frozen=True)
 class PrimeBudget:
     d: int
-    ell: int
-    primes: tuple[int, ...]
+    ell: int  # bit bound: 2**ell > L
+    primes: tuple[int, ...]  # primes below 2**31, descending, product >= 2**ell
 
 
 def prime_budget(n: int, entry_bound: int) -> PrimeBudget:
     d = max(1, n - 1)
     ell = max(1, bound_log2(n, entry_bound))
-    return PrimeBudget(d, ell, tuple(first_primes(ell)))
+    primes, product, q = [], 1, 2**31 - 1
+    while product.bit_length() <= ell:
+        if is_prime(q):
+            primes.append(q)
+            product *= q
+        q -= 2
+    return PrimeBudget(d, ell, tuple(primes))
 
 
 @dataclass(frozen=True)
@@ -102,11 +100,9 @@ def solve_rational_report(inst: IntegerInstance, opts: SolveOptions | None = Non
     budget = prime_budget(inst.n, inst.entry_bound)
     outcomes: list[PrimeOutcome] = []
     best: int | MinusInfinity | None = None
-    base_retries = _limits(opts, inst.n, inst.m).retries
     for idx, p in enumerate(budget.primes):
         seed = (opts.seed * 0x9E3779B1 + idx * 0x85EBCA77 + p) % (2**63)
-        retries = base_retries * max(1, -(-32 // p))  # more samples for tiny fields
-        per_prime = replace(opts, seed=seed, oracle_retries=retries)
+        per_prime = replace(opts, seed=seed)
         try:
             reduced = inst.reduce_mod(p)
             value = solve(reduced, per_prime).value

@@ -139,7 +139,7 @@ def _run_phase(pencil: LaurentPencil, dstar: int, rng: np.random.Generator,
         if first is not None:
             cert, first = first, None
         else:
-            const = ConstPencil(pencil.p, pencil.leading_stack())
+            const = ConstPencil._wrap(pencil.p, pencil.leading_stack())
             cert = solve_R(const, int(rng.integers(0, 2**63)), lim.retries)
         calls[-1] += 1
         iters = calls[-1]

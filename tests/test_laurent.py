@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from degdet import (DEFAULT_PRIME, FieldMatrix, LaurentMatrix, LaurentPencil, leading,
-                    scale_tinv, square_substitute, step_update, truncate)
+from degdet import (DEFAULT_PRIME, ConstPencil, FieldMatrix, LaurentMatrix, LaurentPencil,
+                    leading, scale_tinv, square_substitute, step_update, truncate)
 from degdet.errors import PositiveDegreeError
 
 P = DEFAULT_PRIME
@@ -147,3 +147,23 @@ def test_truncate_idempotent():
     once = truncate(pen, 3)
     twice = truncate(once, 3)
     assert once.terms[0] == twice.terms[0]
+
+
+@pytest.mark.parametrize("p", [5, P, 2**61 - 1])
+def test_leading_stack_is_the_stack_of_leading_terms(p):
+    rng = np.random.default_rng(p % 97)
+    terms = []
+    for k in range(5):
+        coeffs = {-1: rng.integers(0, 5, size=(3, 3))}
+        if k % 2 == 0:  # odd terms have no degree-0 coefficient
+            coeffs[0] = rng.integers(0, 5, size=(3, 3))
+        terms.append(LaurentMatrix(p, 3, coeffs))
+    pen = LaurentPencil(p, 3, 5, tuple(terms))
+    got = pen.leading_stack()
+    assert got.shape == (5, 3, 3)
+    assert got.dtype == (np.int64 if p <= P else object)
+    for k, term in enumerate(terms):
+        assert np.array_equal(got[k], term.leading())
+    wrapped = ConstPencil._wrap(p, pen.leading_stack())
+    assert not wrapped.stack.flags.writeable
+    assert np.array_equal(wrapped.stack, ConstPencil(p, got).stack)

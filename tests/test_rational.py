@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,14 +7,22 @@ import pytest
 from degdet import (DEFAULT_PRIME, IntegerInstance, SolveOptions, bound_log2,
                     first_primes, gen_integer, is_minus_infinity, prime_budget,
                     solve, solve_rational, solve_rational_report)
-from degdet.errors import DimensionMismatchError
+from degdet.cli import main
+from degdet.errors import (DimensionMismatchError, IterationBoundExceededError,
+                           PrecisionUnsupportedError, RetryExhaustedError)
+from degdet.field_linalg import is_prime
+from degdet.instances import load
 
 P = DEFAULT_PRIME
 
 
-def exact_ceil_log2_L(n, D):
+def exact_L(n, D):
     d = max(1, n - 1)
-    L = (n * d) ** (2 * n * d) * D ** (n * d)
+    return (n * d) ** (2 * n * d) * D ** (n * d)
+
+
+def exact_ceil_log2_L(n, D):
+    L = exact_L(n, D)
     bits = L.bit_length()
     return bits - 1 if L == 1 << (bits - 1) else bits
 
@@ -67,13 +76,15 @@ def test_first_primes_rejects_zero():
 
 
 def test_solve_rational_scalar_needs_the_max():
-    # over p=2 the matrix vanishes; p=3 recovers the value
-    inst = IntegerInstance(1, 1, (np.array([[2]], dtype=object),), (5,), {})
+    # the budget is (2**31 - 1, 2147483629): the entry vanishes modulo the
+    # first prime and the second recovers the value
+    inst = IntegerInstance(1, 1, (np.array([[2**31 - 1]], dtype=object),), (5,), {})
     report = solve_rational_report(inst)
+    assert report.budget.primes == (2**31 - 1, 2147483629)
     assert report.value == 5
     per_prime = {o.prime: o.value for o in report.outcomes}
-    assert is_minus_infinity(per_prime[2])
-    assert per_prime[3] == 5
+    assert is_minus_infinity(per_prime[2**31 - 1])
+    assert per_prime[2147483629] == 5
 
 
 def test_solve_rational_identity_every_odd_prime():
@@ -111,8 +122,8 @@ def test_per_prime_values_lower_bound_direct():
 def test_prime_budget_shape():
     budget = prime_budget(3, 2)
     assert budget.d == 2
-    assert budget.ell == len(budget.primes)
     assert budget.ell >= exact_ceil_log2_L(3, 2)
+    assert math.prod(budget.primes) > exact_L(3, 2)
 
 
 def test_result_is_order_free_over_primes():
@@ -140,3 +151,61 @@ def test_all_primes_failed(monkeypatch):
     monkeypatch.setattr(rational, "solve", always_fails)
     with pytest.raises(AllPrimesFailedError):
         rational.solve_rational(inst)
+
+
+@pytest.mark.parametrize("n, D", [(n, D) for n in range(1, 5) for D in range(1, 5)]
+                         + [(5, 10), (8, 1000)])
+def test_prime_budget_word_size_primes(n, D):
+    primes = prime_budget(n, D).primes
+    assert list(primes) == sorted(set(primes), reverse=True)
+    assert all(is_prime(q) and q < 2**31 for q in primes)
+    assert math.prod(primes) > exact_L(n, D)
+
+
+def test_prime_budget_n5_D10_holds_eight_primes():
+    # the rational-1e6 shape: 8 word-size solves where the first-primes
+    # budget held 241 primes up to 1523
+    primes = prime_budget(5, 10).primes
+    assert len(primes) == 8
+    assert (primes[0], primes[-1]) == (2**31 - 1, 2147483497)
+
+
+def test_word_size_budget_agrees_with_first_primes_and_direct_solve():
+    # criterion 10's corpus: the word-size budget, the first-primes budget and
+    # the direct big-prime solve all give the same value
+    rng = np.random.default_rng(1010)
+    for trial in range(20):
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 4))
+        inst = gen_integer(n, m, seed=trial + 11000, entry_bound=3,
+                           cost_range=(-100, 100))
+        rational = solve_rational(inst, SolveOptions(seed=trial))
+        direct = solve(inst.reduce_mod(P), SolveOptions(seed=trial + 500)).value
+        assert rational == direct == first_primes_value(inst, trial), trial
+
+
+def first_primes_value(inst, seed):
+    """The first-primes choice: max over the first bound_log2 primes.  As the
+    pipeline does, a prime whose solve raises is skipped; tiny fields get
+    ceil(32 / q) times the default 3n oracle retries."""
+    values = []
+    for q in first_primes(bound_log2(inst.n, inst.entry_bound)):
+        opts = SolveOptions(seed=seed, oracle_retries=3 * inst.n * max(1, -(-32 // q)))
+        try:
+            values.append(solve(inst.reduce_mod(q), opts).value)
+        except (PrecisionUnsupportedError, RetryExhaustedError, IterationBoundExceededError):
+            continue
+    return max(values)
+
+
+def test_cli_solve_lists_the_word_size_primes(capsys, tmp_path):
+    path = tmp_path / "inst.json"
+    assert main(["gen", "dense", "--n", "3", "--m", "2", "--seed", "5", "--integer",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    inst = load(path.read_bytes())
+    primes = list(prime_budget(inst.n, inst.entry_bound).primes)
+    assert doc["primes"] == primes and primes[0] == 2**31 - 1
+    assert [entry["prime"] for entry in doc["per_prime"]] == primes
