@@ -19,7 +19,7 @@ import numpy as np
 
 from . import instances, nconvex, oracles, partitioned, rational
 from .errors import DegDetError
-from .field_linalg import DEFAULT_PRIME, FieldMatrix, nullspace, rref
+from .field_linalg import DEFAULT_PRIME, FieldMatrix, PrimeModulus, nullspace, rref
 from .infinity import is_minus_infinity
 from .instances import Instance, IntegerInstance, PartitionedInstance
 from .ncrank import ConstPencil, solve_R
@@ -48,7 +48,6 @@ def _solve_options(args) -> SolveOptions:
         seed=args.seed,
         scaling_enabled=not args.no_scaling,
         truncation_enabled=not args.no_truncate,
-        truncation_depth=args.truncate_depth,
     )
 
 
@@ -57,8 +56,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--prime", type=int, default=None)
     parser.add_argument("--no-scaling", action="store_true")
     parser.add_argument("--no-truncate", action="store_true")
-    parser.add_argument("--truncate-depth", type=int, default=None,
-                        help="needs scaling and a depth of at least 2 n^2 m")
     parser.add_argument("--out", type=Path, default=None)
 
 
@@ -90,13 +87,26 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _load_instance(path: Path, prime_override: int | None):
-    data = path.read_bytes()
-    inst = instances.load(data)
-    if prime_override is not None and isinstance(inst, Instance):
-        inst = Instance.from_arrays(prime_override,
-                                    [m.data for m in inst.mats], inst.costs, inst.meta)
+class UsageError(Exception):
+    """A command line that cannot apply to its input (exit code 2)."""
+
+
+def _load_instance(path: Path, prime: int | None):
+    inst = instances.load(path.read_bytes())
+    if prime is not None:
+        inst = _reduce_to(inst, prime)
     return inst, _digest(instances.save(inst))
+
+
+def _reduce_to(inst, p: int):
+    """The field or partitioned instance with its residues reduced modulo p."""
+    if isinstance(inst, Instance):
+        return Instance.from_arrays(p, [m.data for m in inst.mats], inst.costs, inst.meta)
+    if isinstance(inst, PartitionedInstance):
+        blocks = tuple(tuple(FieldMatrix(p, blk.data) for blk in row) for row in inst.blocks)
+        return PartitionedInstance(PrimeModulus(p), inst.n, blocks, inst.costs, inst.meta)
+    raise UsageError("--prime does not apply to an integer instance: "
+                     "the rational pipeline picks its own primes")
 
 
 def _solve_any(inst, opts: SolveOptions) -> dict:
@@ -208,9 +218,6 @@ def cmd_verify(args) -> int:
         body = _solve_any(inst, opts)
         report.update(body)
         solver_value = body["value"]
-        if args.inject_value is not None:  # harness self-test hook
-            solver_value = args.inject_value
-            report["value"] = solver_value
         comparisons = []
         all_agree = True
         for name in args.oracle.split(","):
@@ -295,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("instance", type=Path)
     ver.add_argument("--oracle", default="commutative",
                      help="comma list: hungarian,commutative,blowup,enumerate2x2,newton")
-    ver.add_argument("--inject-value", type=int, default=None, help=argparse.SUPPRESS)
     _add_common(ver)
     ver.set_defaults(func=cmd_verify)
 
@@ -317,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                          sort_keys=True), file=sys.stdout)
         return EXIT_SOLVER_ERROR
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -298,8 +298,32 @@ def save(inst: Instance | IntegerInstance | PartitionedInstance) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def _ints(values: Sequence, what: str) -> Sequence:
+    """`values` unchanged if every one is a JSON integer; FormatError for a
+    float, string or boolean, which conversion would otherwise truncate."""
+    if any(type(v) is not int for v in values):
+        raise FormatError(f"{what} must hold integers only")
+    return values
+
+
+def _int_array(value, what: str, exact: bool) -> np.ndarray:
+    """`value` as an integer array, checked by its dtype rather than per entry.
+
+    numpy reads a JSON true/false among integers as 1/0, which the dtype does
+    not show, so `exact` (the file holds such a literal somewhere) checks the
+    type of every entry; object arrays (ints beyond int64) are always checked.
+    """
+    arr = np.array(value)
+    if exact or arr.dtype.kind == "O":
+        _ints(np.array(value, dtype=object).ravel(), what)
+    elif arr.dtype.kind not in "iu":
+        raise FormatError(f"{what} must hold integers only")
+    return arr
+
+
 def load(data: bytes) -> Instance | IntegerInstance | PartitionedInstance:
-    """Parse instance bytes; raises FormatError / NonPrimeError on bad input."""
+    """Parse instance bytes; raises FormatError / NonPrimeError on bad input,
+    including any non-integer number where the format asks for an integer."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -309,31 +333,32 @@ def load(data: bytes) -> Instance | IntegerInstance | PartitionedInstance:
     version = doc.get("version")
     if version != SCHEMA_VERSION:
         raise FormatError(f"unsupported schema version {version!r}")
+    exact = b"true" in data or b"false" in data
     try:
         if "blocks" in doc:
-            return _load_partitioned(doc)
+            return _load_partitioned(doc, exact)
         if "prime" in doc:
-            p = int(doc["prime"])
+            p = _ints([doc["prime"]], "prime")[0]
             PrimeModulus(p)  # raises NonPrimeError on composite moduli
-            return Instance.from_arrays(p, [np.array(m) for m in doc["mats"]],
-                                        doc["costs"], doc.get("meta", {}))
-        n, m = int(doc["n"]), int(doc["m"])
-        return IntegerInstance(n, m, tuple(np.array(mat, dtype=object) for mat in doc["mats"]),
-                               tuple(doc["costs"]), doc.get("meta", {}))
+            return Instance.from_arrays(p, [_int_array(m, "mats", exact) for m in doc["mats"]],
+                                        _ints(doc["costs"], "costs"), doc.get("meta", {}))
+        n, m = _ints([doc["n"], doc["m"]], "n and m")
+        return IntegerInstance(n, m, tuple(_int_array(mat, "mats", exact) for mat in doc["mats"]),
+                               tuple(_ints(doc["costs"], "costs")), doc.get("meta", {}))
     except NonPrimeError:
         raise
     except (KeyError, TypeError, ValueError, IndexError, DimensionMismatchError) as exc:
         raise FormatError(f"malformed instance file: {exc}") from exc
 
 
-def _load_partitioned(doc: dict) -> PartitionedInstance:
-    p = int(doc.get("prime", DEFAULT_PRIME))
+def _load_partitioned(doc: dict, exact: bool) -> PartitionedInstance:
+    p = _ints([doc.get("prime", DEFAULT_PRIME)], "prime")[0]
     PrimeModulus(p)
-    full = np.array(doc["blocks"], dtype=np.int64)
+    full = _int_array(doc["blocks"], "blocks", exact)
     if full.ndim != 2 or full.shape[0] != full.shape[1] or full.shape[0] % 2:
         raise FormatError("partitioned blocks must form a square even-sized matrix")
     n = full.shape[0] // 2
     blocks = tuple(tuple(FieldMatrix(p, full[2 * i: 2 * i + 2, 2 * j: 2 * j + 2])
                          for j in range(n)) for i in range(n))
-    costs = tuple(tuple(int(c) for c in row) for row in doc["block_costs"])
+    costs = tuple(tuple(_ints(row, "block_costs")) for row in doc["block_costs"])
     return PartitionedInstance(PrimeModulus(p), n, blocks, costs, doc.get("meta", {}))

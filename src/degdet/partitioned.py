@@ -267,21 +267,6 @@ def solve_and_extract(part: PartitionedInstance, opts: SolveOptions | None = Non
     return value, witness
 
 
-def _log_block_structure(leading: np.ndarray, edges: list) -> None:
-    """Block-diagonal transforms would keep term (i, j) supported on block
-    (i, j); the generic certificate oracle does not promise that, so record
-    how often it holds in practice.  Extraction does not depend on it."""
-    stray = 0
-    for k, (i, j) in enumerate(edges):
-        masked = leading[k].copy()
-        masked[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = 0
-        if np.any(masked):
-            stray += 1
-    if stray:
-        log.info("final pencil: %d of %d terms stray outside their block "
-                 "(generic, non-block-diagonal certificates)", stray, len(edges))
-
-
 def _extract_from_pencil(part: PartitionedInstance, leading: np.ndarray,
                          edges: list, rng: np.random.Generator) -> TwoMatching | None:
     """First perfect 2-matching whose support keeps the final leading pencil
@@ -289,7 +274,6 @@ def _extract_from_pencil(part: PartitionedInstance, leading: np.ndarray,
     n = part.n
     if n > 6:
         raise SizeLimitError("extraction enumeration is capped at n=6")
-    _log_block_structure(leading, edges)
     index_of = {edge: k for k, edge in enumerate(edges)}
     allowed = set(edges)
     for matching in _perfect_two_matchings(n, allowed):

@@ -15,9 +15,10 @@ pseudo-polynomial mode is N = 0, one phase on the unscaled costs.
 
 With scaling enabled every phase provably needs at most n^2 m + 1 oracle
 calls, and coefficients deeper than 2 n^2 m can never influence the output;
-both facts are enforced at runtime (the first as a configurable assertion,
-the second as the default truncation depth).  Without scaling neither
-holds: no bound applies and no truncation depth is accepted.
+both facts are enforced at runtime (a phase that reaches the first raises
+IterationBoundExceededError, and the second is the default truncation
+depth).  Without scaling neither holds: the one phase raises at a safety cap
+of n max c + n + 10 calls instead, and no truncation depth is accepted.
 
 Singularity is decided by the same certificate oracle on the constant pencil
 sum_k A_k x_k before any phase runs: a verified certificate with r + s > n is
@@ -33,7 +34,6 @@ the report.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -56,9 +56,6 @@ class SolveOptions:
     # None: 2 n^2 m with scaling, off without; an explicit depth needs
     # scaling and at least 2 n^2 m (shallower can change the value)
     truncation_depth: int | None = None
-    max_phase_iterations: int | None = None
-    oracle_retries: int | None = None  # None: 3 n samples per oracle call
-    enforce_iteration_bound: bool = True  # False downgrades the bound to a warning
 
     def __post_init__(self):
         if self.truncation_depth is not None and self.truncation_depth < 1:
@@ -80,21 +77,20 @@ class SolveReport:
 
 
 class _Limits(NamedTuple):
-    retries: int
-    depth: int | None
-    bound: int | None
+    depth: int | None  # truncation depth; None keeps every coefficient
+    bound: int  # oracle calls after which an unfinished phase raises
 
 
-def _limits(opts: SolveOptions, n: int, m: int) -> _Limits:
-    """The options with their defaults resolved for an n x n, m-term pencil.
+def _limits(opts: SolveOptions, n: int, m: int, cmax: int) -> _Limits:
+    """The options resolved for an n x n, m-term pencil with largest cost cmax >= 1.
 
-    Retries default to 3 n samples per oracle call.  With scaling the proven
-    per-phase bound n^2 m + 1 applies and truncation defaults to depth 2 n^2 m;
-    without scaling there is no bound and no truncation.  An explicit depth
-    below 2 n^2 m, or any explicit depth without scaling, could silently
-    change the value, so it raises DimensionMismatchError.
+    With scaling the proven per-phase bound n^2 m + 1 applies and truncation
+    defaults to depth 2 n^2 m.  Without scaling there is no truncation and the
+    phase cap is n cmax + n + 10 calls (D* falls by >= 1 per step from n cmax
+    to an optimum >= n, so reaching it means a bug).  An explicit depth below
+    2 n^2 m, or any explicit depth without scaling, could silently change the
+    value, so it raises DimensionMismatchError.
     """
-    retries = opts.oracle_retries if opts.oracle_retries is not None else 3 * n
     safe = 2 * n * n * m
     depth = None
     if opts.truncation_enabled:
@@ -105,8 +101,8 @@ def _limits(opts: SolveOptions, n: int, m: int) -> _Limits:
             raise DimensionMismatchError(
                 f"truncation_depth={depth} is not proven safe: it needs scaling "
                 f"and a depth of at least 2 n^2 m = {safe}")
-    bound = n * n * m + 1 if opts.scaling_enabled else None
-    return _Limits(retries, depth, bound)
+    bound = n * n * m + 1 if opts.scaling_enabled else n * cmax + n + 10
+    return _Limits(depth, bound)
 
 
 def normalize_costs(costs: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -120,42 +116,31 @@ def _ceil_div(a: int, d: int) -> int:
 
 
 def _run_phase(pencil: LaurentPencil, dstar: int, rng: np.random.Generator,
-               lim: _Limits, hard_limit: int | None, warn_only: bool,
-               calls: list[int], first: Certificate | None = None
+               lim: _Limits, calls: list[int], first: Certificate | None = None
                ) -> tuple[LaurentPencil, int, int]:
     """Descent until the leading pencil certifies optimum n.
 
-    `lim.bound` is the proven per-phase limit (n^2 m + 1); `hard_limit` is an
-    unconditional stop.  `first`, when given, is a certificate already found
-    for the starting leading pencil and answers the first oracle call.  The
-    phase appends one entry to `calls` and counts every answered oracle call
-    in it, the terminating one included, so the count survives an
-    NcRankGapError that cuts the phase short.
+    A phase whose `lim.bound`-th oracle call does not certify optimum n raises
+    IterationBoundExceededError.  `first`, when given, is a certificate
+    already found for the starting leading pencil and answers the first
+    oracle call.  The phase appends one entry to `calls` and counts every
+    answered oracle call in it, the terminating one included, so the count
+    survives an NcRankGapError that cuts the phase short.
     """
     n = pencil.n
-    bound = lim.bound
     calls.append(0)
     while True:
         if first is not None:
             cert, first = first, None
         else:
             const = ConstPencil._wrap(pencil.p, pencil.leading_stack())
-            cert = solve_R(const, int(rng.integers(0, 2**63)), lim.retries)
+            cert = solve_R(const, int(rng.integers(0, 2**63)))
         calls[-1] += 1
-        iters = calls[-1]
         if cert.value == n:
-            return pencil, dstar, iters
-        if bound is not None and iters >= bound:
-            msg = (f"phase exceeded the proven oracle-call bound {bound} "
-                   f"(n^2 m + 1) without terminating")
-            if warn_only:
-                warnings.warn(msg, RuntimeWarning)
-                bound = None
-            else:
-                raise IterationBoundExceededError(msg)
-        if hard_limit is not None and iters >= hard_limit:
+            return pencil, dstar, calls[-1]
+        if calls[-1] >= lim.bound:
             raise IterationBoundExceededError(
-                f"phase exceeded max_phase_iterations={hard_limit}")
+                f"phase reached its bound of {lim.bound} oracle calls without terminating")
         pencil = step_update(pencil, cert.S, cert.T, cert.r, cert.s)
         if lim.depth is not None:
             pencil = truncate(pencil, lim.depth)
@@ -167,9 +152,10 @@ def run_phase(pencil: LaurentPencil, dstar: int, opts: SolveOptions | None = Non
     """One descent phase on an explicit pencil (test / driver entry point)."""
     opts = opts or SolveOptions()
     rng = np.random.default_rng(opts.seed)
-    lim = _limits(opts, pencil.n, pencil.m)
-    return _run_phase(pencil, dstar, rng, lim, opts.max_phase_iterations,
-                      not opts.enforce_iteration_bound, [])
+    # the no-scaling cap of a solve whose cost-1 term sits at the lowest degree
+    cmax = 1 - min(term.depth for term in pencil.terms)
+    lim = _limits(opts, pencil.n, pencil.m, cmax)
+    return _run_phase(pencil, dstar, rng, lim, [])
 
 
 def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
@@ -194,16 +180,15 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
     n = inst.n
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
     rng.integers(0, 2**63)  # unused draw: keeps the scaling path's seeds as in 0.1.0
-    lim = _limits(opts, n, inst.m)
     shifted, b = normalize_costs(inst.costs)
+    lim = _limits(opts, n, inst.m, max(shifted))
 
     calls: list[int] = []  # answered oracle calls, one entry per phase begun
     done: list[tuple[int, float]] = []  # (D*, seconds) per finished phase
     pencil = witness = None
     fallback = False
     try:
-        cert = solve_R(ConstPencil(inst.p, inst.stack()), int(rng.integers(0, 2**63)),
-                       lim.retries)
+        cert = solve_R(ConstPencil(inst.p, inst.stack()), int(rng.integers(0, 2**63)))
         if cert.value < n:
             value, witness = MINUS_INFINITY, cert
         else:
@@ -235,15 +220,10 @@ def _descend(inst: Instance, shifted: tuple[int, ...], opts: SolveOptions,
     """
     n, m = inst.n, inst.m
     cmax = max(shifted)
-    hard_limit = opts.max_phase_iterations
     if opts.scaling_enabled:
         num_doublings = (cmax - 1).bit_length()  # ceil(log2 cmax) for cmax >= 1
     else:
         num_doublings, first = 0, None
-        # D* descends by at least 1 per step from n*cmax and never passes the
-        # optimum, which is >= n for costs >= 1; anything past this is a bug.
-        if hard_limit is None:
-            hard_limit = n * cmax + n + 10
     scale = 1 << num_doublings
     top = _ceil_div(cmax, scale)
     terms = tuple(LaurentMatrix.from_constant(inst.p, mat.data, _ceil_div(c, scale) - top)
@@ -267,8 +247,7 @@ def _descend(inst: Instance, shifted: tuple[int, ...], opts: SolveOptions,
                 pencil = truncate(pencil, lim.depth)
             dstar *= 2
         t0 = time.perf_counter()
-        pencil, dstar, _ = _run_phase(pencil, dstar, rng, lim, hard_limit,
-                                      not opts.enforce_iteration_bound, calls, first)
+        pencil, dstar, _ = _run_phase(pencil, dstar, rng, lim, calls, first)
         done.append((dstar, time.perf_counter() - t0))
         first = None
     return dstar, pencil

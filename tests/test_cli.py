@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+from degdet import cli, instances, partitioned, solve
 from degdet.cli import main
 
 
@@ -82,10 +84,10 @@ def test_verify_bipartite_agrees(capsys, tmp_path):
     assert all(entry["agree"] for entry in doc["oracles"])
 
 
-def test_verify_corrupted_solver_exits_3(capsys, tmp_path):
+def test_verify_corrupted_solver_exits_3(capsys, tmp_path, monkeypatch):
     path, _ = gen_file(capsys, tmp_path, "bipartite", "--n", "3", "--seed", "2")
-    code, out = run_cli(capsys, "verify", str(path), "--oracle", "hungarian",
-                        "--inject-value", "123456789")
+    monkeypatch.setattr(cli, "_solve_any", lambda inst, opts: {"value": 123456789})
+    code, out = run_cli(capsys, "verify", str(path), "--oracle", "hungarian")
     assert code == 3
     doc = json.loads(out)
     assert not doc["oracles"][0]["agree"]
@@ -126,10 +128,7 @@ def test_solve_flags_no_scaling_and_truncate_depth(capsys, tmp_path):
     _, out_default = run_cli(capsys, "solve", str(path))
     code, out_direct = run_cli(capsys, "solve", str(path), "--no-scaling")
     assert code == 0
-    code, out_depth = run_cli(capsys, "solve", str(path), "--truncate-depth", "54")
-    assert code == 0
-    vals = {json.loads(o)["value"] for o in (out_default, out_direct, out_depth)}
-    assert len(vals) == 1
+    assert json.loads(out_default)["value"] == json.loads(out_direct)["value"]
 
 
 def test_solve_prime_override(capsys, tmp_path):
@@ -139,3 +138,35 @@ def test_solve_prime_override(capsys, tmp_path):
     assert code == 0
     base = json.loads(run_cli(capsys, "solve", str(path))[1])["value"]
     assert json.loads(out)["value"] == base  # bipartite degree is field-independent
+
+
+def test_solve_prime_applies_to_partitioned_files(capsys, tmp_path):
+    path, digest = gen_file(capsys, tmp_path, "partitioned2x2", "--n", "3", "--seed", "4")
+    doc = json.loads(path.read_bytes())
+    doc["prime"] = 101
+    doc["blocks"] = [[x % 101 for x in row] for row in doc["blocks"]]
+    expected = instances.load(json.dumps(doc).encode())
+    for command in ("solve", "verify"):
+        code, out = run_cli(capsys, command, str(path), "--prime", "101")
+        assert code == 0
+        report = json.loads(out)
+        assert report["digest"] != digest
+        assert report["digest"] == hashlib.sha256(instances.save(expected)).hexdigest()
+        assert report["value"] == solve(partitioned.to_instance(expected)).value
+    assert run_cli(capsys, "solve", str(path), "--prime", "8")[0] == 1
+
+
+def test_solve_prime_refused_on_integer_files(capsys, tmp_path):
+    path, _ = gen_file(capsys, tmp_path, "dense", "--n", "2", "--m", "3",
+                       "--seed", "5", "--integer")
+    for command in ("solve", "verify"):
+        assert main([command, str(path), "--prime", "101"]) == 2
+        assert "rational pipeline picks its own primes" in capsys.readouterr().err
+
+
+def test_help_lists_no_removed_flags(capsys):
+    for command in ("solve", "verify"):
+        assert main([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        assert "--seed" in text
+        assert "--truncate-depth" not in text and "--inject-value" not in text

@@ -194,3 +194,68 @@ def test_instance_validates_shapes():
 def test_instance_rejects_empty():
     with pytest.raises(DimensionMismatchError):
         Instance.from_arrays(P, [], [])
+
+
+def _tampered(inst, edit):
+    doc = json.loads(save(inst))
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
+def _set_entry(key, *index, value):
+    def edit(doc):
+        target = doc[key]
+        for i in index[:-1]:
+            target = target[i]
+        target[index[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, "3", None, True])
+def test_load_rejects_non_integer_mats_entry(bad):
+    data = _tampered(gen_dense(2, 2, seed=20), _set_entry("mats", 1, 0, 1, value=bad))
+    with pytest.raises(FormatError):
+        load(data)
+
+
+@pytest.mark.parametrize("bad", [3.7, 3.0, "3", True])
+def test_load_rejects_non_integer_cost(bad):
+    data = _tampered(gen_dense(2, 2, seed=21), _set_entry("costs", 0, value=bad))
+    with pytest.raises(FormatError):
+        load(data)
+
+
+@pytest.mark.parametrize("bad", [2.2, "1", True])
+def test_load_rejects_non_integer_block_entry(bad):
+    part = gen_2x2(2, seed=22, rank_profile=[[2, 1], [1, 2]])
+    with pytest.raises(FormatError):
+        load(_tampered(part, _set_entry("blocks", 0, 3, value=bad)))
+
+
+@pytest.mark.parametrize("bad", [2.5, "4", False])
+def test_load_rejects_non_integer_block_cost(bad):
+    part = gen_2x2(2, seed=23, rank_profile=[[2, 1], [1, 2]])
+    with pytest.raises(FormatError):
+        load(_tampered(part, _set_entry("block_costs", 1, 0, value=bad)))
+
+
+@pytest.mark.parametrize("bad", [2.5, "2", None, False])
+def test_load_rejects_non_integer_integer_instance_entry(bad):
+    inst = gen_integer(2, 2, seed=24, entry_bound=3)
+    with pytest.raises(FormatError):
+        load(_tampered(inst, _set_entry("mats", 0, 1, 1, value=bad)))
+
+
+def test_load_keeps_integers_beyond_int64():
+    # entries too large for int64 arrive as Python ints and still load exactly
+    inst = IntegerInstance(1, 1, (np.array([[2**70]], dtype=object),), (3,))
+    again = load(save(inst))
+    assert int(again.mats[0][0, 0]) == 2**70 and again.costs == (3,)
+
+
+def test_load_accepts_booleans_in_meta():
+    inst = gen_dense(2, 2, seed=25)
+    again = load(save(Instance.from_arrays(P, [m.data for m in inst.mats], inst.costs,
+                                           {"flag": True, "other": False})))
+    assert again.meta == {"flag": True, "other": False}
+    assert again.costs == inst.costs and all(a == b for a, b in zip(again.mats, inst.mats))

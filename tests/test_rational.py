@@ -1,12 +1,14 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
+import degdet.solver as solver
 from degdet import (DEFAULT_PRIME, IntegerInstance, SolveOptions, bound_log2,
                     first_primes, gen_integer, is_minus_infinity, prime_budget,
-                    solve, solve_rational, solve_rational_report)
+                    solve, solve_R, solve_rational, solve_rational_report)
 from degdet.cli import main
 from degdet.errors import (DimensionMismatchError, IterationBoundExceededError,
                            PrecisionUnsupportedError, RetryExhaustedError)
@@ -187,14 +189,17 @@ def test_word_size_budget_agrees_with_first_primes_and_direct_solve():
 def first_primes_value(inst, seed):
     """The first-primes choice: max over the first bound_log2 primes.  As the
     pipeline does, a prime whose solve raises is skipped; tiny fields get
-    ceil(32 / q) times the default 3n oracle retries."""
+    ceil(32 / q) times solve_R's default 3n samples per oracle call."""
     values = []
-    for q in first_primes(bound_log2(inst.n, inst.entry_bound)):
-        opts = SolveOptions(seed=seed, oracle_retries=3 * inst.n * max(1, -(-32 // q)))
-        try:
-            values.append(solve(inst.reduce_mod(q), opts).value)
-        except (PrecisionUnsupportedError, RetryExhaustedError, IterationBoundExceededError):
-            continue
+    with pytest.MonkeyPatch.context() as mp:
+        for q in first_primes(bound_log2(inst.n, inst.entry_bound)):
+            retries = 3 * inst.n * max(1, -(-32 // q))
+            mp.setattr(solver, "solve_R", functools.partial(solve_R, retries=retries))
+            try:
+                values.append(solve(inst.reduce_mod(q), SolveOptions(seed=seed)).value)
+            except (PrecisionUnsupportedError, RetryExhaustedError,
+                    IterationBoundExceededError):
+                continue
     return max(values)
 
 

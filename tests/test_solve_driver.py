@@ -1,14 +1,11 @@
 """The descent driver: gap accounting, unsafe truncation depths, golden reports."""
 
-import json
-
 import numpy as np
 import pytest
 
 from degdet import (DEFAULT_PRIME, Instance, IntegerInstance, SolveOptions, gen_bipartite,
-                    gen_dense, gen_rank1, random_bipartite_weights, run_phase, save, solve,
+                    gen_dense, gen_rank1, random_bipartite_weights, run_phase, solve,
                     solve_rational, solve_with_final_pencil)
-from degdet.cli import main
 from degdet.errors import DimensionMismatchError
 from degdet.laurent import LaurentPencil
 
@@ -78,17 +75,6 @@ def test_unsafe_depth_refused_by_run_phase_and_rational():
     integer = IntegerInstance(1, 1, (np.array([[2]]),), (4,))
     with pytest.raises(DimensionMismatchError):
         solve_rational(integer, SolveOptions(truncation_depth=1))
-
-
-def test_cli_unsafe_depth_exits_1(capsys, tmp_path):
-    path = tmp_path / "inst.json"
-    path.write_bytes(save(gen_dense(3, 3, seed=11, cost_range=(-1000, 1000))))
-    assert main(["solve", str(path), "--truncate-depth", "2"]) == 1
-    assert json.loads(capsys.readouterr().out)["error"] == "DimensionMismatchError"
-    assert main(["solve", str(path), "--no-scaling", "--truncate-depth", "54"]) == 1
-    capsys.readouterr()
-    assert main(["solve", str(path), "--truncate-depth", "54"]) == 0
-    assert json.loads(capsys.readouterr().out)["value"] == 2136
 
 
 # -- golden reports ---------------------------------------------------------

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from degdet import (DEFAULT_PRIME, ConstPencil, Instance, LaurentMatrix,
-                    LaurentPencil, MINUS_INFINITY, SolveOptions, gen_bipartite,
-                    gen_dense, is_minus_infinity, normalize_costs, run_phase, solve,
-                    solve_R, solve_with_final_pencil)
+from degdet import (DEFAULT_PRIME, Certificate, ConstPencil, FieldMatrix, Instance,
+                    LaurentMatrix, LaurentPencil, MINUS_INFINITY, SolveOptions,
+                    gen_bipartite, gen_dense, is_minus_infinity, normalize_costs,
+                    run_phase, solve, solve_R, solve_with_final_pencil)
 from degdet.errors import IterationBoundExceededError
 
 from conftest import brute_matching_weight, brute_symbolic_degdet
@@ -191,11 +191,28 @@ def test_reproducible_reports():
     assert a.oracle_calls == b.oracle_calls
 
 
-def test_max_phase_iterations_enforced():
-    # force an artificial cap that the descent must exceed
+@pytest.mark.parametrize("scaling", [True, False], ids=["scaling", "no-scaling"])
+def test_phase_raises_at_its_bound(monkeypatch, scaling):
+    # an oracle whose certificate (I, I, r=0, s=0) never lets the phase end:
+    # the phase raises after exactly its bound of calls, n^2 m + 1 with
+    # scaling and the n cmax + n + 10 cap without; without scaling the
+    # singularity certificate is one more call
+    import degdet.solver as solver
+
     inst = gen_bipartite([[0, 3], [5, 0]])
+    n, m, cmax = inst.n, inst.m, max(normalize_costs(inst.costs)[0])
+    calls = []
+
+    def stuck(pencil, seed, retries=None):
+        calls.append(seed)
+        ident = FieldMatrix.identity(P, pencil.n)
+        return Certificate(ident, ident, 0, 0, 2 * pencil.n)
+
+    monkeypatch.setattr(solver, "solve_R", stuck)
     with pytest.raises(IterationBoundExceededError):
-        solve(inst, SolveOptions(seed=0, scaling_enabled=False, max_phase_iterations=1))
+        solve(inst, SolveOptions(seed=0, scaling_enabled=scaling))
+    expected = n * n * m + 1 if scaling else n * cmax + n + 10 + 1
+    assert len(calls) == expected
 
 
 def test_final_pencil_leading_is_nonsingular():
@@ -213,19 +230,3 @@ def test_solve_over_61_bit_prime_object_path():
     small = Instance.from_arrays(P, mats, [4, -2])
     assert solve(inst, SolveOptions(seed=0)).value == solve(small).value == 12
 
-
-def test_iteration_bound_warning_mode():
-    import warnings
-
-    inst = gen_bipartite([[0, 3], [5, 0]])
-    opts = SolveOptions(seed=0, scaling_enabled=False, max_phase_iterations=None,
-                        enforce_iteration_bound=False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no spurious warnings on an honest run
-        assert solve(inst, opts).value == 8
-
-
-def test_oracle_retries_option_respected():
-    inst = gen_dense(3, 2, seed=31, cost_range=(1, 5))
-    assert solve(inst, SolveOptions(seed=0, oracle_retries=1)).value == \
-        solve(inst, SolveOptions(seed=0)).value
