@@ -23,8 +23,7 @@ from .instances import (Instance, IntegerInstance, PartitionedInstance, gen_2x2,
                         random_bipartite_weights, random_rank_profile, save)
 from .laurent import (LaurentMatrix, LaurentPencil, leading, scale_tinv,
                       square_substitute, step_update, truncate)
-from .ncrank import (BlowupPencil, Certificate, ConstPencil, build_blowup,
-                     is_nc_nonsingular, solve_R)
+from .ncrank import Certificate, ConstPencil, build_blowup, is_nc_nonsingular, solve_R
 from .oracles import (INFEASIBLE, NewtonSupport, degdet_blowup, degdet_commutative,
                       hungarian, newton_small)
 from .partitioned import TwoMatching, enumerate_perfect, is_consistent, solve_and_extract, to_instance

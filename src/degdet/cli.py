@@ -35,8 +35,11 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
+def _emit(doc: dict, out: Path | None = None) -> None:
+    text = json.dumps(doc, sort_keys=True, indent=2)
+    if out is not None:
+        out.write_text(text)
+    print(text)
 
 
 def _jsonable_value(value) -> int | str:
@@ -51,15 +54,20 @@ def _solve_options(args) -> SolveOptions:
     )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, solving: bool) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--prime", type=int, default=None)
-    parser.add_argument("--no-scaling", action="store_true")
-    parser.add_argument("--no-truncate", action="store_true")
+    if solving:
+        parser.add_argument("--no-scaling", action="store_true")
+        parser.add_argument("--no-truncate", action="store_true")
     parser.add_argument("--out", type=Path, default=None)
 
 
 def cmd_gen(args) -> int:
+    if args.integer and args.generator != "dense":
+        raise UsageError("--integer applies to the dense generator only")
+    if args.integer and args.prime is not None:
+        raise UsageError("--integer writes an instance without a prime; drop --prime")
     p = args.prime if args.prime is not None else DEFAULT_PRIME
     cost_range = (args.cmin, args.cmax)
     if args.generator == "bipartite":
@@ -146,24 +154,6 @@ def _solve_any(inst, opts: SolveOptions) -> dict:
     return body
 
 
-def cmd_solve(args) -> int:
-    inst, digest = _load_instance(args.instance, args.prime)
-    opts = _solve_options(args)
-    report = {"command": "solve", "instance": str(args.instance), "digest": digest,
-              "seed": args.seed}
-    try:
-        report.update(_solve_any(inst, opts))
-    except DegDetError as exc:
-        report["error"] = type(exc).__name__
-        report["message"] = str(exc)
-        _emit(report)
-        return EXIT_SOLVER_ERROR
-    if args.out:
-        args.out.write_text(json.dumps(report, sort_keys=True, indent=2))
-    _emit(report)
-    return EXIT_OK
-
-
 def _oracle_value(name: str, inst, seed: int):
     if name == "hungarian":
         weights = _bipartite_weights_of(inst)
@@ -209,33 +199,32 @@ def _bipartite_weights_of(inst) -> list:
     return grid
 
 
-def cmd_verify(args) -> int:
+def cmd_run(args) -> int:
+    """`solve`, and for `verify` the oracle comparisons too; --out gets the report."""
     inst, digest = _load_instance(args.instance, args.prime)
-    opts = _solve_options(args)
-    report = {"command": "verify", "instance": str(args.instance), "digest": digest,
+    report = {"command": args.command, "instance": str(args.instance), "digest": digest,
               "seed": args.seed}
+    code = EXIT_OK
     try:
-        body = _solve_any(inst, opts)
-        report.update(body)
-        solver_value = body["value"]
-        comparisons = []
-        all_agree = True
-        for name in args.oracle.split(","):
-            name = name.strip()
-            if not name:
-                continue
-            value = _jsonable_value(_oracle_value(name, inst, args.seed + 1))
-            agree = value == solver_value
-            all_agree = all_agree and agree
-            comparisons.append({"oracle": name, "value": value, "agree": agree})
-        report["oracles"] = comparisons
+        report.update(_solve_any(inst, _solve_options(args)))
+        if args.command == "verify":
+            comparisons = []
+            for name in args.oracle.split(","):
+                name = name.strip()
+                if not name:
+                    continue
+                value = _jsonable_value(_oracle_value(name, inst, args.seed + 1))
+                agree = value == report["value"]
+                if not agree:
+                    code = EXIT_DISAGREE
+                comparisons.append({"oracle": name, "value": value, "agree": agree})
+            report["oracles"] = comparisons
     except DegDetError as exc:
         report["error"] = type(exc).__name__
         report["message"] = str(exc)
-        _emit(report)
-        return EXIT_SOLVER_ERROR
-    _emit(report)
-    return EXIT_OK if all_agree else EXIT_DISAGREE
+        code = EXIT_SOLVER_ERROR
+    _emit(report, args.out)
+    return code
 
 
 def cmd_selftest(args) -> int:
@@ -290,20 +279,20 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--integer", action="store_true",
                      help="emit an integer instance for the rational pipeline")
     gen.add_argument("--entry-bound", type=int, default=3)
-    _add_common(gen)
+    _add_common(gen, solving=False)
     gen.set_defaults(func=cmd_gen)
 
     slv = sub.add_parser("solve", help="solve an instance file")
     slv.add_argument("instance", type=Path)
-    _add_common(slv)
-    slv.set_defaults(func=cmd_solve)
+    _add_common(slv, solving=True)
+    slv.set_defaults(func=cmd_run)
 
     ver = sub.add_parser("verify", help="solve and cross-check against oracles")
     ver.add_argument("instance", type=Path)
     ver.add_argument("--oracle", default="commutative",
                      help="comma list: hungarian,commutative,blowup,enumerate2x2,newton")
-    _add_common(ver)
-    ver.set_defaults(func=cmd_verify)
+    _add_common(ver, solving=True)
+    ver.set_defaults(func=cmd_run)
 
     selftest = sub.add_parser("selftest", help="run the invariant suites")
     selftest.add_argument("--seed", type=int, default=0)

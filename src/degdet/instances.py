@@ -282,15 +282,15 @@ def save(inst: Instance | IntegerInstance | PartitionedInstance) -> bytes:
     """Canonical JSON bytes; load(save(x)) == x exactly."""
     if isinstance(inst, Instance):
         doc = {"version": SCHEMA_VERSION, "prime": inst.p, "n": inst.n, "m": inst.m,
-               "mats": [[[int(x) for x in row] for row in mat.data] for mat in inst.mats],
+               "mats": [mat.data.tolist() for mat in inst.mats],
                "costs": list(inst.costs), "meta": _meta_jsonable(inst.meta)}
     elif isinstance(inst, IntegerInstance):
         doc = {"version": SCHEMA_VERSION, "n": inst.n, "m": inst.m,
-               "mats": [[[int(x) for x in row] for row in mat] for mat in inst.mats],
+               "mats": [mat.tolist() for mat in inst.mats],
                "costs": list(inst.costs), "meta": _meta_jsonable(inst.meta)}
     elif isinstance(inst, PartitionedInstance):
         doc = {"version": SCHEMA_VERSION, "prime": inst.p, "n": inst.n,
-               "blocks": [[int(x) for x in row] for row in inst.assembled()],
+               "blocks": inst.assembled().tolist(),
                "block_costs": [list(row) for row in inst.costs],
                "meta": _meta_jsonable(inst.meta)}
     else:

@@ -5,7 +5,9 @@ A pencil stores, per symbolic variable, a map from degree d in {0, -1, -2,
 The only supported mutations are exactly the ones the solver performs:
 certificate updates (row lift / column drop), squaring the series variable,
 a uniform degree shift, and truncation of deep terms.  Everything returns a
-new value; nothing is modified in place.
+new value; nothing is modified in place.  :func:`leading` reads the degree-0
+coefficients as a :class:`~degdet.ncrank.ConstPencil`, the one constant-pencil
+type the certificate oracle takes.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, PositiveDegreeError
 from .field_linalg import FieldMatrix, _dtype_for, _mod_sandwich, as_residues
+from .ncrank import ConstPencil
 
 
 @dataclass(frozen=True)
@@ -70,16 +73,6 @@ class LaurentMatrix:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> np.ndarray:
-        got = self.coeffs.get(0)
-        if got is not None:
-            return got
-        return np.zeros((self.n, self.n), dtype=np.int64)
-
-    def coefficient(self, degree: int) -> np.ndarray:
-        got = self.coeffs.get(degree)
-        return got if got is not None else np.zeros((self.n, self.n), dtype=np.int64)
-
     def square_substitute(self) -> "LaurentMatrix":
         """t -> t**2: the coefficient at degree d moves to degree 2d."""
         return LaurentMatrix._wrap(self.p, self.n, {2 * d: m for d, m in self.coeffs.items()})
@@ -132,17 +125,13 @@ class LaurentPencil:
         n = terms[0].n
         return cls(p, n, len(terms), tuple(terms))
 
-    def leading_stack(self) -> np.ndarray:
-        """(m, n, n) array of degree-0 coefficients."""
-        out = np.zeros((self.m, self.n, self.n), dtype=_dtype_for(self.p))
-        for k, term in enumerate(self.terms):
-            out[k] = term.coeffs.get(0, 0)
-        return out
 
-
-def leading(pencil: LaurentPencil) -> list[FieldMatrix]:
-    """Degree-0 coefficient of every term (zero matrix when absent)."""
-    return [FieldMatrix(pencil.p, t.leading()) for t in pencil.terms]
+def leading(pencil: LaurentPencil) -> ConstPencil:
+    """The constant pencil of degree-0 coefficients (zero where a term has none)."""
+    stack = np.zeros((pencil.m, pencil.n, pencil.n), dtype=_dtype_for(pencil.p))
+    for k, term in enumerate(pencil.terms):
+        stack[k] = term.coeffs.get(0, 0)
+    return ConstPencil._wrap(pencil.p, stack)
 
 
 def step_update(pencil: LaurentPencil, S: FieldMatrix, T: FieldMatrix,

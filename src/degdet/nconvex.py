@@ -22,6 +22,8 @@ from .errors import DimensionMismatchError
 Point = tuple[int, ...]
 
 INF = math.inf
+#: steepest-descent moves before descend_to_minimizer gives up
+MAX_DESCENT_MOVES = 10_000
 
 
 def _check_dims(x: Point, y: Point):
@@ -188,7 +190,7 @@ def barrier(spec: BarrierSpec) -> DiscreteFunction:
     return DiscreteFunction(2 * n, h)
 
 
-def descend_to_minimizer(f: DiscreteFunction, start: Point, max_moves: int = 10_000) -> Point:
+def descend_to_minimizer(f: DiscreteFunction, start: Point) -> Point:
     """Steepest descent over the full {-1, 0, 1}^d neighborhood.
 
     For the barrier family (linear plus penalized max terms, an L-natural
@@ -198,7 +200,7 @@ def descend_to_minimizer(f: DiscreteFunction, start: Point, max_moves: int = 10_
     moves = [m for m in product((-1, 0, 1), repeat=dim) if any(m)]
     cur = tuple(start)
     cur_val = f(cur)
-    for _ in range(max_moves):
+    for _ in range(MAX_DESCENT_MOVES):
         best, best_val = None, cur_val
         for mv in moves:
             cand = tuple(c + d for c, d in zip(cur, mv))

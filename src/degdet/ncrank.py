@@ -27,12 +27,15 @@ exactly that witness.  :func:`is_nc_nonsingular`, a one-sided test by random
 substitution of the (n-1)-blow-up (nc-rank is n exactly when a d-fold blow-up
 has full commutative rank for d = n - 1), is kept as an independent check;
 the solver does not call it.
+
+:class:`ConstPencil` is the one constant-pencil type: the solver's leading
+pencils (:func:`degdet.laurent.leading`) and the blow-ups of
+:func:`build_blowup` are all of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -67,11 +70,6 @@ class ConstPencil:
         object.__setattr__(obj, "stack", stack)
         return obj
 
-    @classmethod
-    def from_matrices(cls, mats: Sequence[FieldMatrix]) -> "ConstPencil":
-        p = mats[0].p
-        return cls(p, np.stack([m.data for m in mats]))
-
     @property
     def m(self) -> int:
         return self.stack.shape[0]
@@ -79,9 +77,6 @@ class ConstPencil:
     @property
     def n(self) -> int:
         return self.stack.shape[1]
-
-    def matrices(self) -> tuple[FieldMatrix, ...]:
-        return tuple(FieldMatrix(self.p, self.stack[k]) for k in range(self.m))
 
     def substitute(self, point: np.ndarray) -> np.ndarray:
         """Evaluate sum_k point_k B_k over GF(p)."""
@@ -203,29 +198,15 @@ def solve_R(pencil: ConstPencil, seed: int, retries: int | None = None) -> Certi
         "commutative rank is likely below nc-rank")
 
 
-def build_blowup(pencil: ConstPencil, d: int) -> "BlowupPencil":
-    """The d-fold blow-up: coefficient of x_{k,i,j} is A_k placed at block (i, j)."""
+def build_blowup(pencil: ConstPencil, d: int) -> ConstPencil:
+    """The d-fold blow-up: variable x_{k,i,j}, at index (k d + i) d + j, has
+    coefficient A_k placed at block (i, j)."""
     if d < 1:
         raise DimensionMismatchError("blow-up order must be >= 1")
-    p, n, m = pencil.p, pencil.n, pencil.m
-    mats = []
-    for k in range(m):
-        for i in range(d):
-            for j in range(d):
-                eij = np.zeros((d, d), dtype=np.int64)
-                eij[i, j] = 1
-                mats.append(np.kron(eij, np.asarray(pencil.stack[k])))
-    return BlowupPencil(p, d, np.stack(mats) if pencil.stack.dtype != object
-                        else np.array(mats, dtype=object))
-
-
-@dataclass(frozen=True)
-class BlowupPencil:
-    """Arranged blow-up coefficients, variable (k, i, j) at index (k d + i) d + j."""
-
-    p: int
-    d: int
-    mats: np.ndarray
+    units = np.eye(d * d, dtype=np.int64).reshape(d * d, d, d)
+    # np.kron keeps an object stack's dtype, so 62-bit moduli stay exact
+    return ConstPencil._wrap(pencil.p, np.stack([np.kron(e, a) for a in pencil.stack
+                                                 for e in units]))
 
 
 def substituted_blowup(pencil: ConstPencil, point: np.ndarray, d: int) -> np.ndarray:
@@ -240,7 +221,7 @@ def substituted_blowup(pencil: ConstPencil, point: np.ndarray, d: int) -> np.nda
     return blocks.reshape(d, d, n, n).transpose(0, 2, 1, 3).reshape(n * d, n * d)
 
 
-def is_nc_nonsingular(pencil: ConstPencil, seed: int, attempts: int = 1) -> bool:
+def is_nc_nonsingular(pencil: ConstPencil, seed: int) -> bool:
     """Decide nc-rank == n by a random substitution of the (n-1)-blow-up.
 
     An independent check that the solver does not call; the solver decides
@@ -253,13 +234,10 @@ def is_nc_nonsingular(pencil: ConstPencil, seed: int, attempts: int = 1) -> bool
     p, n, m = pencil.p, pencil.n, pencil.m
     rng = np.random.default_rng(seed)
     d = max(1, n - 1)
-    for _ in range(max(1, attempts)):
-        B = pencil.substitute(rng.integers(0, p, size=m))
-        if mod_rank(B, p) == n:
-            return True
-        if d > 1:
-            point = rng.integers(0, p, size=(m, d, d))
-            M = substituted_blowup(pencil, point, d)
-            if mod_rank(M, p) == n * d:
-                return True
-    return False
+    B = pencil.substitute(rng.integers(0, p, size=m))
+    if mod_rank(B, p) == n:
+        return True
+    if d == 1:
+        return False
+    M = substituted_blowup(pencil, rng.integers(0, p, size=(m, d, d)), d)
+    return mod_rank(M, p) == n * d

@@ -29,6 +29,15 @@ from .ncrank import ConstPencil, build_blowup
 #: so the two outcomes share the one distinguished value.
 INFEASIBLE = MINUS_INFINITY
 
+#: random substitutions per interpolation; the largest degree found wins
+TRIALS = 3
+#: most evaluation points one interpolation may take (desk-scale costs)
+POINT_BUDGET = 500_000
+#: reseeded blow-up interpolations before RetryExhaustedError
+BLOWUP_RETRIES = 4
+#: largest n that :func:`newton_small` expands
+NEWTON_SIZE_LIMIT = 7
+
 
 def batch_det(mats: np.ndarray, p: int) -> np.ndarray:
     """Determinants mod p of a (B, k, k) stack, eliminated in lockstep."""
@@ -110,15 +119,14 @@ def _newton_degree_geometric(g: int, values: np.ndarray, p: int) -> int | None:
     return None if nz.size == 0 else int(nz[-1])
 
 
-def degdet_commutative(inst: Instance, seed: int = 0, trials: int = 3,
-                       point_budget: int = 500_000) -> int | MinusInfinity:
+def degdet_commutative(inst: Instance, seed: int = 0) -> int | MinusInfinity:
     """deg det after substituting random scalars for the symbolic variables.
 
-    Each trial can only undershoot the symbolic deg det; the maximum over
-    trials equals it with high probability.  Requires p > n*C + 1 evaluation
-    headroom once costs are shifted nonnegative.  The point budget turns a
-    cost range this oracle cannot handle at desk scale into an error instead
-    of an hours-long interpolation.
+    Each of the TRIALS substitutions can only undershoot the symbolic deg
+    det; their maximum equals it with high probability.  Requires p > n*C + 1
+    evaluation headroom once costs are shifted nonnegative.  POINT_BUDGET
+    turns a cost range this oracle cannot handle at desk scale into an error
+    instead of an hours-long interpolation.
     """
     p, n, m = inst.p, inst.n, inst.m
     b = max(0, -min(inst.costs))
@@ -128,9 +136,9 @@ def degdet_commutative(inst: Instance, seed: int = 0, trials: int = 3,
     if p <= npts + 1:
         raise PrecisionUnsupportedError(
             f"modulus {p} too small for {npts} evaluation points")
-    if npts > point_budget:
+    if npts > POINT_BUDGET:
         raise SizeLimitError(
-            f"interpolation needs {npts} points, over the budget of {point_budget}; "
+            f"interpolation needs {npts} points, over the budget of {POINT_BUDGET}; "
             "this oracle is meant for desk-scale costs")
     rng = np.random.default_rng(seed)
     g = _geometric_base(p, npts, rng)
@@ -143,7 +151,7 @@ def degdet_commutative(inst: Instance, seed: int = 0, trials: int = 3,
     for j in range(1, npts):
         powers[j] = powers[j - 1] * ratios % p
     best: int | MinusInfinity = MINUS_INFINITY
-    for _ in range(max(1, trials)):
+    for _ in range(TRIALS):
         lam = rng.integers(0, p, size=m)
         scaled = lam[:, None, None] * stack % p
         hi, lo = powers >> 16, powers & 0xFFFF
@@ -158,36 +166,33 @@ def degdet_commutative(inst: Instance, seed: int = 0, trials: int = 3,
     return best
 
 
-def degdet_blowup(inst: Instance, seed: int = 0, trials: int = 3,
-                  max_retries: int = 4, point_budget: int = 500_000
-                  ) -> int | MinusInfinity:
+def degdet_blowup(inst: Instance, seed: int = 0) -> int | MinusInfinity:
     """deg Det through the d-blow-up at d = max(1, n-1).
 
     Every blow-up variable inherits the cost of its parent; the blow-up's
     commutative degree is an exact multiple of d, so a non-multiple signals
-    an unlucky substitution and triggers a reseeded retry.
+    an unlucky substitution and triggers a reseeded retry, BLOWUP_RETRIES in
+    all.
     """
     n = inst.n
     d = max(1, n - 1)
     if d == 1:
-        return degdet_commutative(inst, seed=seed, trials=trials,
-                                  point_budget=point_budget)
+        return degdet_commutative(inst, seed=seed)
     blow = build_blowup(ConstPencil(inst.p, inst.stack()), d)
     costs = [c for c in inst.costs for _ in range(d * d)]
-    blow_inst = Instance.from_arrays(inst.p, list(blow.mats), costs,
+    blow_inst = Instance.from_arrays(inst.p, blow.stack, costs,
                                      {"blowup_of": dict(inst.meta), "d": d})
-    seeds = np.random.SeedSequence(seed).spawn(max_retries)
+    seeds = np.random.SeedSequence(seed).spawn(BLOWUP_RETRIES)
     last = None
     for child in seeds:
-        value = degdet_commutative(blow_inst, seed=child.generate_state(1)[0].item(),
-                                   trials=trials, point_budget=point_budget)
+        value = degdet_commutative(blow_inst, seed=child.generate_state(1)[0].item())
         if is_minus_infinity(value):
             return MINUS_INFINITY
         if value % d == 0:
             return value // d
         last = value
     raise RetryExhaustedError(
-        f"blow-up degree {last} not a multiple of d={d} after {max_retries} retries")
+        f"blow-up degree {last} not a multiple of d={d} after {BLOWUP_RETRIES} retries")
 
 
 def hungarian(weights: Sequence[Sequence[int | None]]) -> int | MinusInfinity:
@@ -269,15 +274,15 @@ class NewtonSupport:
         return max(sum(c * u for c, u in zip(costs, vec)) for vec in self.vertices)
 
 
-def newton_small(inst: Instance, size_limit: int = 7) -> NewtonSupport:
+def newton_small(inst: Instance) -> NewtonSupport:
     """Exponent support of det(sum_k A_k x_k) by full permutation expansion.
 
     Coefficients are tracked over GF(p), so cancellations are respected.
-    Limited to n <= 7 (the expansion has n! products).
+    Limited to n <= NEWTON_SIZE_LIMIT = 7 (the expansion has n! products).
     """
     p, n, m = inst.p, inst.n, inst.m
-    if n > size_limit:
-        raise SizeLimitError(f"newton_small is capped at n={size_limit}, got {n}")
+    if n > NEWTON_SIZE_LIMIT:
+        raise SizeLimitError(f"newton_small is capped at n={NEWTON_SIZE_LIMIT}, got {n}")
     stack = inst.stack()
     entries = [[{k: int(stack[k, i, j]) for k in range(m) if stack[k, i, j]}
                 for j in range(n)] for i in range(n)]

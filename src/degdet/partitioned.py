@@ -25,9 +25,13 @@ from .errors import DimensionMismatchError, ExtractionFailedError, SizeLimitErro
 from .field_linalg import mod_rank
 from .infinity import MINUS_INFINITY, MinusInfinity, is_minus_infinity
 from .instances import Instance, PartitionedInstance
+from .laurent import leading
 from .solver import SolveOptions, solve_with_final_pencil
 
 log = logging.getLogger(__name__)
+
+#: largest n that :func:`enumerate_perfect` enumerates
+ENUMERATION_SIZE_LIMIT = 5
 
 
 @dataclass(frozen=True)
@@ -140,11 +144,11 @@ def _perfect_two_matchings(n: int, allowed: set) -> list[TwoMatching]:
     return out
 
 
-def enumerate_perfect(part: PartitionedInstance, seed: int = 0, size_limit: int = 5
+def enumerate_perfect(part: PartitionedInstance, seed: int = 0
                       ) -> tuple[int | MinusInfinity, TwoMatching | None]:
     """Exhaustive maximum-weight perfect consistent 2-matching (desk scale)."""
-    if part.n > size_limit:
-        raise SizeLimitError(f"enumeration is capped at n={size_limit}")
+    if part.n > ENUMERATION_SIZE_LIMIT:
+        raise SizeLimitError(f"enumeration is capped at n={ENUMERATION_SIZE_LIMIT}")
     allowed = set(part.edges())
     best_weight: int | MinusInfinity = MINUS_INFINITY
     best = None
@@ -157,12 +161,12 @@ def enumerate_perfect(part: PartitionedInstance, seed: int = 0, size_limit: int 
     return best_weight, best
 
 
-def _pencil_support_rank(leading: np.ndarray, keep: Iterable[int], p: int,
+def _pencil_support_rank(stack: np.ndarray, keep: Iterable[int], p: int,
                          rng: np.random.Generator) -> int:
-    acc = np.zeros(leading.shape[1:], dtype=np.int64)
+    acc = np.zeros(stack.shape[1:], dtype=np.int64)
     for k in keep:
         lam = int(rng.integers(1, p))
-        acc = (acc + leading[k] * lam) % p
+        acc = (acc + stack[k] * lam) % p
     return mod_rank(acc, p)
 
 
@@ -252,7 +256,7 @@ def solve_and_extract(part: PartitionedInstance, opts: SolveOptions | None = Non
     edges = part.edges()
     matching = None
     if pencil is not None:
-        matching = _extract_from_pencil(part, pencil.leading_stack(), edges, rng)
+        matching = _extract_from_pencil(part, leading(pencil).stack, edges, rng)
     if matching is not None:
         simplified = _simplify_cycles(matching, part, rng)
         if (simplified.weight(part.costs) == value
@@ -267,7 +271,7 @@ def solve_and_extract(part: PartitionedInstance, opts: SolveOptions | None = Non
     return value, witness
 
 
-def _extract_from_pencil(part: PartitionedInstance, leading: np.ndarray,
+def _extract_from_pencil(part: PartitionedInstance, stack: np.ndarray,
                          edges: list, rng: np.random.Generator) -> TwoMatching | None:
     """First perfect 2-matching whose support keeps the final leading pencil
     nonsingular under a random substitution."""
@@ -278,6 +282,6 @@ def _extract_from_pencil(part: PartitionedInstance, leading: np.ndarray,
     allowed = set(edges)
     for matching in _perfect_two_matchings(n, allowed):
         keep = [index_of[e] for e in matching.support()]
-        if _pencil_support_rank(leading, keep, part.p, rng) == 2 * n:
+        if _pencil_support_rank(stack, keep, part.p, rng) == 2 * n:
             return matching
     return None

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import DimensionMismatchError, IterationBoundExceededError, NcRankGapError
 from .infinity import MINUS_INFINITY, MinusInfinity
 from .instances import Instance
-from .laurent import LaurentMatrix, LaurentPencil, step_update, truncate
+from .laurent import LaurentPencil, leading, step_update, truncate
 from .ncrank import Certificate, ConstPencil, solve_R
 
 
@@ -53,13 +53,9 @@ class SolveOptions:
     seed: int = 0
     scaling_enabled: bool = True
     truncation_enabled: bool = True
-    # None: 2 n^2 m with scaling, off without; an explicit depth needs
-    # scaling and at least 2 n^2 m (shallower can change the value)
+    # None: 2 n^2 m with scaling, off without; with truncation on, an explicit
+    # depth needs scaling and at least 2 n^2 m (see _limits)
     truncation_depth: int | None = None
-
-    def __post_init__(self):
-        if self.truncation_depth is not None and self.truncation_depth < 1:
-            raise DimensionMismatchError("truncation_depth must be >= 1 when set")
 
 
 @dataclass(frozen=True)
@@ -87,9 +83,10 @@ def _limits(opts: SolveOptions, n: int, m: int, cmax: int) -> _Limits:
     With scaling the proven per-phase bound n^2 m + 1 applies and truncation
     defaults to depth 2 n^2 m.  Without scaling there is no truncation and the
     phase cap is n cmax + n + 10 calls (D* falls by >= 1 per step from n cmax
-    to an optimum >= n, so reaching it means a bug).  An explicit depth below
-    2 n^2 m, or any explicit depth without scaling, could silently change the
-    value, so it raises DimensionMismatchError.
+    to an optimum >= n, so reaching it means a bug).  With truncation on, an
+    explicit depth below 2 n^2 m (zero and negative depths included), or any
+    explicit depth without scaling, could silently change the value, so it
+    raises DimensionMismatchError; with truncation off the depth is unused.
     """
     safe = 2 * n * n * m
     depth = None
@@ -133,8 +130,7 @@ def _run_phase(pencil: LaurentPencil, dstar: int, rng: np.random.Generator,
         if first is not None:
             cert, first = first, None
         else:
-            const = ConstPencil._wrap(pencil.p, pencil.leading_stack())
-            cert = solve_R(const, int(rng.integers(0, 2**63)))
+            cert = solve_R(leading(pencil), int(rng.integers(0, 2**63)))
         calls[-1] += 1
         if cert.value == n:
             return pencil, dstar, calls[-1]
@@ -226,9 +222,8 @@ def _descend(inst: Instance, shifted: tuple[int, ...], opts: SolveOptions,
         num_doublings, first = 0, None
     scale = 1 << num_doublings
     top = _ceil_div(cmax, scale)
-    terms = tuple(LaurentMatrix.from_constant(inst.p, mat.data, _ceil_div(c, scale) - top)
-                  for mat, c in zip(inst.mats, shifted))
-    pencil = LaurentPencil(inst.p, n, m, terms)
+    pencil = LaurentPencil.from_constants(inst.p, [mat.data for mat in inst.mats],
+                                          [_ceil_div(c, scale) - top for c in shifted])
     dstar = n * top
     for theta in range(num_doublings + 1):
         if theta:

@@ -170,3 +170,38 @@ def test_help_lists_no_removed_flags(capsys):
         text = capsys.readouterr().out
         assert "--seed" in text
         assert "--truncate-depth" not in text and "--inject-value" not in text
+
+
+def test_gen_refuses_solve_flags(capsys, tmp_path):
+    out = tmp_path / "g.json"
+    for flag in ("--no-scaling", "--no-truncate"):
+        assert main(["gen", "dense", "--n", "2", flag, "--out", str(out)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_integer_needs_the_dense_generator(capsys, tmp_path):
+    out = tmp_path / "g.json"
+    for generator in ("bipartite", "rank1", "partitioned2x2"):
+        assert main(["gen", generator, "--n", "2", "--integer", "--out", str(out)]) == 2
+        assert "dense generator only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_integer_refuses_a_prime(capsys, tmp_path):
+    out = tmp_path / "g.json"
+    assert main(["gen", "dense", "--n", "2", "--integer", "--prime", "101",
+                 "--out", str(out)]) == 2
+    assert "--prime" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_holds_the_printed_report(capsys, tmp_path):
+    path, _ = gen_file(capsys, tmp_path, "bipartite", "--n", "3", "--seed", "2")
+    report = tmp_path / "report.json"
+    for argv in (["solve", str(path)], ["verify", str(path), "--oracle", "hungarian"]):
+        code, out = run_cli(capsys, *argv, "--out", str(report))
+        assert code == 0
+        assert report.read_text() == out.rstrip("\n")
+        assert json.loads(out)["command"] == argv[0]
+    assert json.loads(out)["oracles"][0]["agree"] is True

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -259,3 +260,33 @@ def test_load_accepts_booleans_in_meta():
                                            {"flag": True, "other": False})))
     assert again.meta == {"flag": True, "other": False}
     assert again.costs == inst.costs and all(a == b for a, b in zip(again.mats, inst.mats))
+
+
+# sha256 of save() for one file of each kind, pinned so that the bytes of
+# the format never change by accident
+SAVE_DIGESTS = {
+    "field-2^61-1": "ff0fff7c9fe5f8335c340b7c90fa41cc8df19ef4dfb36d3fa59b4620ce1cd6cb",
+    "field-int64": "69202d7b24a1c84a9ecc886c66ee889febb637ffd7d17be104979b0be985fbfb",
+    "integer-2^70": "4ab0782f7bfc0972207399edcdcc792fc6101d34e56390a12944481cbd33a24d",
+    "partitioned": "c27defbf9d1e3a211b3ea44563e51a2d9a0ff2fef0fad96d568c4a91798db596",
+}
+
+
+def _save_digest_cases():
+    big = 2**61 - 1
+    return {
+        "field-2^61-1": Instance.from_arrays(
+            big, [[[big - 1, 1], [3, 2**40]], [[0, 5], [7, 2**60]]], [3, -4], {"note": "big"}),
+        "field-int64": gen_dense(3, 4, seed=11),
+        "integer-2^70": IntegerInstance(
+            2, 2, (np.array([[2**70, -3], [0, 1]], dtype=object), np.array([[1, 2], [3, -4]])),
+            (5, -1), {"generator": "integer"}),
+        "partitioned": gen_2x2(3, 4, random_rank_profile(3, 4)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(SAVE_DIGESTS))
+def test_save_bytes_are_pinned(name):
+    data = save(_save_digest_cases()[name])
+    assert hashlib.sha256(data).hexdigest() == SAVE_DIGESTS[name]
+    assert save(load(data)) == data

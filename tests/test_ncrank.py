@@ -99,18 +99,18 @@ def test_build_blowup_d1_is_identity():
     rng = np.random.default_rng(6)
     stack = rng.integers(0, P, size=(2, 3, 3))
     blow = build_blowup(ConstPencil(P, stack), 1)
-    assert blow.mats.shape == (2, 3, 3)
-    assert np.array_equal(blow.mats, stack)
+    assert blow.stack.shape == (2, 3, 3)
+    assert np.array_equal(blow.stack, stack)
 
 
 def test_build_blowup_identity_d2():
     blow = build_blowup(ConstPencil(P, np.stack([np.eye(2, dtype=int)])), 2)
-    assert blow.mats.shape == (4, 4, 4)
+    assert blow.stack.shape == (4, 4, 4)
     for i in range(2):
         for j in range(2):
             eij = np.zeros((2, 2), dtype=int)
             eij[i, j] = 1
-            assert np.array_equal(blow.mats[i * 2 + j], np.kron(eij, np.eye(2, dtype=int)))
+            assert np.array_equal(blow.stack[i * 2 + j], np.kron(eij, np.eye(2, dtype=int)))
 
 
 def test_build_blowup_block_placement():
@@ -118,7 +118,7 @@ def test_build_blowup_block_placement():
     A = rng.integers(0, P, size=(1, 2, 2))
     blow = build_blowup(ConstPencil(P, A), 2)
     # variable (k=0, i=0, j=1) -> index 1; block row 0, block column 1 holds A
-    mat = blow.mats[1]
+    mat = blow.stack[1]
     assert np.array_equal(mat[0:2, 2:4], A[0])
     assert not mat[0:2, 0:2].any() and not mat[2:4, :].any()
 
@@ -132,10 +132,10 @@ def test_substituted_blowup_matches_explicit():
     fast = substituted_blowup(pen, point, d)
     slow = np.zeros((6, 6), dtype=object)
     blow = build_blowup(pen, d)
-    for idx in range(blow.mats.shape[0]):
+    for idx in range(blow.m):
         k, rem = divmod(idx, d * d)
         i, j = divmod(rem, d)
-        slow = (slow + int(point[k, i, j]) * blow.mats[idx]) % P
+        slow = (slow + int(point[k, i, j]) * blow.stack[idx]) % P
     assert np.array_equal(fast.astype(object), slow)
 
 
@@ -148,10 +148,18 @@ def test_solve_r_reproducible():
     assert a.S == b.S and a.T == b.T and (a.r, a.s) == (b.r, b.s)
 
 
-def test_const_pencil_matrix_accessors():
-    stack = np.stack([np.eye(2, dtype=int), np.array(unit_matrix(0, 1, 2))])
-    pen = ConstPencil(P, stack)
-    mats = pen.matrices()
-    assert len(mats) == 2 and mats[0] == FieldMatrix.identity(P, 2)
-    again = ConstPencil.from_matrices(mats)
-    assert np.array_equal(again.stack, pen.stack)
+@pytest.mark.parametrize("p", [5, P, 2**61 - 1])
+def test_build_blowup_is_a_readonly_const_pencil(p):
+    rng = np.random.default_rng(p % 89)
+    dtype = np.int64 if p <= P else object  # the dtype Instance.stack() gives
+    pen = ConstPencil(p, rng.integers(0, 5, size=(2, 3, 3)).astype(dtype) * (p // 5))
+    d = 2
+    blow = build_blowup(pen, d)
+    assert isinstance(blow, ConstPencil) and blow.p == p
+    assert (blow.m, blow.n) == (2 * d * d, 3 * d)
+    assert blow.stack.dtype == pen.stack.dtype == dtype
+    assert not blow.stack.flags.writeable
+    assert np.array_equal(blow.stack, ConstPencil(p, blow.stack).stack)  # reduced
+    point = rng.integers(0, p, size=(2, d, d))
+    assert np.array_equal(blow.substitute(point.reshape(-1)),
+                          substituted_blowup(pen, point, d))

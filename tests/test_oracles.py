@@ -170,7 +170,7 @@ def test_degdet_commutative_rejects_object_moduli():
 def test_oracle_point_budget_guard():
     inst = gen_bipartite([[10**6, 0], [0, 10**6]])
     with pytest.raises(SizeLimitError):
-        degdet_commutative(inst, seed=0, point_budget=1000)
+        degdet_commutative(inst, seed=0)  # 2 * 10**6 + 1 points
     with pytest.raises(SizeLimitError):
         degdet_blowup(gen_dense(4, 2, seed=0, cost_range=(10**5, 10**5 + 5)), seed=0)
 
@@ -179,8 +179,10 @@ def test_degdet_blowup_retry_exhausted(monkeypatch):
     import degdet.oracles as oracles
 
     inst = gen_dense(3, 2, seed=44, cost_range=(1, 5))
+    calls = []
     monkeypatch.setattr(oracles, "degdet_commutative",
-                        lambda *a, **k: 7)  # never a multiple of d=2
+                        lambda *a, **k: calls.append(1) or 7)  # never a multiple of d=2
     from degdet.errors import RetryExhaustedError
-    with pytest.raises(RetryExhaustedError):
-        oracles.degdet_blowup(inst, seed=0, max_retries=3)
+    with pytest.raises(RetryExhaustedError, match="after 4 retries"):
+        oracles.degdet_blowup(inst, seed=0)
+    assert len(calls) == oracles.BLOWUP_RETRIES == 4

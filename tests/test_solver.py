@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from degdet import (DEFAULT_PRIME, Certificate, ConstPencil, FieldMatrix, Instance,
+from degdet import (DEFAULT_PRIME, Certificate, FieldMatrix, Instance,
                     LaurentMatrix, LaurentPencil, MINUS_INFINITY, SolveOptions,
-                    gen_bipartite, gen_dense, is_minus_infinity, normalize_costs,
+                    gen_bipartite, gen_dense, is_minus_infinity, leading, normalize_costs,
                     run_phase, solve, solve_R, solve_with_final_pencil)
-from degdet.errors import IterationBoundExceededError
+from degdet.errors import DimensionMismatchError, IterationBoundExceededError
 
 from conftest import brute_matching_weight, brute_symbolic_degdet
 
@@ -40,7 +40,7 @@ def test_run_phase_bipartite_two_steps():
     out, dstar, iters = run_phase(pen, 2, SolveOptions(seed=0))
     assert iters == 2
     assert dstar == 1
-    final = solve_R(ConstPencil(P, out.leading_stack()), seed=1)
+    final = solve_R(leading(out), seed=1)
     assert final.value == 2
 
 
@@ -219,7 +219,7 @@ def test_final_pencil_leading_is_nonsingular():
     inst = gen_dense(3, 2, seed=77, cost_range=(1, 9))
     report, pencil = solve_with_final_pencil(inst, SolveOptions(seed=5))
     assert pencil is not None
-    cert = solve_R(ConstPencil(P, pencil.leading_stack()), seed=1)
+    cert = solve_R(leading(pencil), seed=1)
     assert cert.value == 3
 
 
@@ -230,3 +230,21 @@ def test_solve_over_61_bit_prime_object_path():
     small = Instance.from_arrays(P, mats, [4, -2])
     assert solve(inst, SolveOptions(seed=0)).value == solve(small).value == 12
 
+
+def test_nonpositive_depth_is_refused_at_solve_time_with_truncation_on():
+    inst = gen_dense(2, 2, seed=5, cost_range=(-20, 20))
+    for scaling in (True, False):
+        for depth in (0, -3):
+            opts = SolveOptions(scaling_enabled=scaling, truncation_depth=depth)  # no error yet
+            with pytest.raises(DimensionMismatchError):
+                solve(inst, opts)
+
+
+def test_no_depth_is_refused_with_truncation_off():
+    inst = gen_dense(2, 2, seed=5, cost_range=(-20, 20))
+    want = solve(inst).value
+    for scaling in (True, False):
+        for depth in (-3, 0, 1, 10**9):
+            opts = SolveOptions(scaling_enabled=scaling, truncation_enabled=False,
+                                truncation_depth=depth)
+            assert solve(inst, opts).value == want

@@ -1,13 +1,33 @@
-"""Guards on the public surface: a new knob or a stale doc fails here."""
+"""Guards on the public surface: a new knob, a new public name or a stale doc fails here."""
 
 import argparse
 import dataclasses
 import re
 from pathlib import Path
 
+import degdet
 from degdet import SolveOptions, cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+PUBLIC_NAMES = [
+    "AllPrimesFailedError", "Certificate", "ConstPencil", "DEFAULT_PRIME", "DegDetError",
+    "DimensionMismatchError", "ExtractionFailedError", "FieldMatrix", "FormatError",
+    "INFEASIBLE", "Instance", "IntegerInstance", "IterationBoundExceededError",
+    "LaurentMatrix", "LaurentPencil", "MINUS_INFINITY", "MinusInfinity", "NcRankGapError",
+    "NewtonSupport", "NonPrimeError", "PartitionedInstance", "PositiveDegreeError",
+    "PrecisionUnsupportedError", "PrimeBudget", "PrimeModulus", "RationalReport",
+    "RetryExhaustedError", "SizeLimitError", "SolveOptions", "SolveReport", "Subspace",
+    "TwoMatching", "bound_log2", "build_blowup", "column_space", "degdet_blowup",
+    "degdet_commutative", "enumerate_perfect", "first_primes", "gen_2x2", "gen_bipartite",
+    "gen_dense", "gen_integer", "gen_rank1", "hungarian", "is_consistent",
+    "is_minus_infinity", "is_nc_nonsingular", "is_prime", "leading", "load",
+    "newton_small", "normalize_costs", "nullspace", "preimage", "prime_budget",
+    "random_bipartite_weights", "random_rank_profile", "rref", "run_phase", "save",
+    "scale_tinv", "solve", "solve_R", "solve_and_extract", "solve_rational",
+    "solve_rational_report", "solve_with_final_pencil", "span_union",
+    "square_substitute", "step_update", "to_instance", "truncate",
+]
 
 
 def test_solve_options_are_the_four_settings():
@@ -15,10 +35,22 @@ def test_solve_options_are_the_four_settings():
         "seed", "scaling_enabled", "truncation_enabled", "truncation_depth"]
 
 
-def test_readme_common_flags_are_the_registered_ones():
+def test_public_names_are_the_snapshot():
+    # adding or removing a public name is a deliberate edit of this list
+    assert len(PUBLIC_NAMES) == 73
+    assert degdet.__all__ == PUBLIC_NAMES
+
+
+def test_readme_flags_are_the_registered_ones_per_subcommand():
     text = " ".join(README.read_text().split())
-    listed = re.search(r"Common flags: (.*?)\.", text).group(1)
-    parser = argparse.ArgumentParser(add_help=False)
-    cli._add_common(parser)
-    registered = [opt for action in parser._actions for opt in action.option_strings]
-    assert re.findall(r"`(--[\w-]+)`", listed) == registered
+    section = re.search(r"Each subcommand takes exactly these flags: (.*?) For `gen`", text)
+    listed = {name: re.findall(r"`(--[\w-]+)`", flags)
+              for name, flags in re.findall(r"- `(\w+)`: (.*?\.)(?= - `| ?$)",
+                                            section.group(1))}
+    parser = cli.build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    registered = {name: [opt for action in sub._actions for opt in action.option_strings
+                         if opt not in ("-h", "--help")]
+                  for name, sub in subparsers.choices.items()}
+    assert listed == registered
