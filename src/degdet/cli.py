@@ -30,6 +30,8 @@ EXIT_SOLVER_ERROR = 1
 EXIT_USAGE = 2
 EXIT_DISAGREE = 3
 
+ORACLES = ("hungarian", "commutative", "blowup", "enumerate2x2", "newton")
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -68,10 +70,17 @@ def cmd_gen(args) -> int:
         raise UsageError("--integer applies to the dense generator only")
     if args.integer and args.prime is not None:
         raise UsageError("--integer writes an instance without a prime; drop --prime")
+    if args.m is not None and args.generator not in ("rank1", "dense"):
+        raise UsageError("--m applies to the rank1 and dense generators only")
+    if args.density is not None and args.generator != "bipartite":
+        raise UsageError("--density applies to the bipartite generator only")
+    if args.entry_bound is not None and not args.integer:
+        raise UsageError("--entry-bound applies to --integer instances only")
     p = args.prime if args.prime is not None else DEFAULT_PRIME
     cost_range = (args.cmin, args.cmax)
     if args.generator == "bipartite":
-        grid = instances.random_bipartite_weights(args.n, args.seed, cost_range, args.density)
+        density = args.density if args.density is not None else 1.0
+        grid = instances.random_bipartite_weights(args.n, args.seed, cost_range, density)
         inst = instances.gen_bipartite(grid, p=p)
     elif args.generator == "rank1":
         m = args.m if args.m is not None else 2 * args.n
@@ -79,14 +88,13 @@ def cmd_gen(args) -> int:
     elif args.generator == "dense":
         m = args.m if args.m is not None else args.n + 1
         if args.integer:
-            inst = instances.gen_integer(args.n, m, args.seed, args.entry_bound, cost_range)
+            bound = args.entry_bound if args.entry_bound is not None else 3
+            inst = instances.gen_integer(args.n, m, args.seed, bound, cost_range)
         else:
             inst = instances.gen_dense(args.n, m, args.seed, cost_range, p=p)
-    elif args.generator == "partitioned2x2":
+    else:  # partitioned2x2; argparse choices admit no other
         profile = instances.random_rank_profile(args.n, args.seed)
         inst = instances.gen_2x2(args.n, args.seed, profile, cost_range, p=p)
-    else:  # pragma: no cover - argparse choices guard this
-        raise DegDetError(f"unknown generator {args.generator}")
     payload = instances.save(inst)
     out = args.out if args.out is not None else Path(f"{args.generator}-n{args.n}-s{args.seed}.json")
     out.write_bytes(payload)
@@ -154,7 +162,21 @@ def _solve_any(inst, opts: SolveOptions) -> dict:
     return body
 
 
+def _oracle_names(spec: str) -> list[str]:
+    """The names of a comma list, empty entries skipped; an unknown one is a usage error."""
+    names = [name.strip() for name in spec.split(",") if name.strip()]
+    for name in names:
+        if name not in ORACLES:
+            raise UsageError(f"unknown oracle {name!r}; choose from {', '.join(ORACLES)}")
+    return names
+
+
 def _oracle_value(name: str, inst, seed: int):
+    if isinstance(inst, IntegerInstance):
+        # as in degdet.rational: each per-prime value is a lower bound, and the
+        # budget's product exceeds L, which bounds det A and its (n-1)-blow-up
+        primes = rational.prime_budget(inst.n, inst.entry_bound).primes
+        return max(_oracle_value(name, inst.reduce_mod(q), seed) for q in primes)
     if name == "hungarian":
         weights = _bipartite_weights_of(inst)
         return oracles.hungarian(weights)
@@ -167,19 +189,12 @@ def _oracle_value(name: str, inst, seed: int):
             raise DegDetError("enumerate2x2 needs a partitioned instance file")
         value, _ = partitioned.enumerate_perfect(inst, seed=seed)
         return value
-    if name == "newton":
-        field_inst = _as_field_instance(inst)
-        support = oracles.newton_small(field_inst)
-        return support.lp(field_inst.costs)
-    raise DegDetError(f"unknown oracle {name!r}")
+    field_inst = _as_field_instance(inst)  # "newton", the one name left
+    return oracles.newton_small(field_inst).lp(field_inst.costs)
 
 
 def _as_field_instance(inst) -> Instance:
-    if isinstance(inst, Instance):
-        return inst
-    if isinstance(inst, PartitionedInstance):
-        return partitioned.to_instance(inst)
-    raise DegDetError("this oracle needs a field instance (has a prime)")
+    return partitioned.to_instance(inst) if isinstance(inst, PartitionedInstance) else inst
 
 
 def _bipartite_weights_of(inst) -> list:
@@ -201,6 +216,7 @@ def _bipartite_weights_of(inst) -> list:
 
 def cmd_run(args) -> int:
     """`solve`, and for `verify` the oracle comparisons too; --out gets the report."""
+    names = _oracle_names(args.oracle) if args.command == "verify" else []
     inst, digest = _load_instance(args.instance, args.prime)
     report = {"command": args.command, "instance": str(args.instance), "digest": digest,
               "seed": args.seed}
@@ -209,10 +225,7 @@ def cmd_run(args) -> int:
         report.update(_solve_any(inst, _solve_options(args)))
         if args.command == "verify":
             comparisons = []
-            for name in args.oracle.split(","):
-                name = name.strip()
-                if not name:
-                    continue
+            for name in names:
                 value = _jsonable_value(_oracle_value(name, inst, args.seed + 1))
                 agree = value == report["value"]
                 if not agree:
@@ -275,10 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--m", type=int, default=None)
     gen.add_argument("--cmin", type=int, default=-10)
     gen.add_argument("--cmax", type=int, default=10)
-    gen.add_argument("--density", type=float, default=1.0)
+    gen.add_argument("--density", type=float, default=None)
     gen.add_argument("--integer", action="store_true",
                      help="emit an integer instance for the rational pipeline")
-    gen.add_argument("--entry-bound", type=int, default=3)
+    gen.add_argument("--entry-bound", type=int, default=None)
     _add_common(gen, solving=False)
     gen.set_defaults(func=cmd_gen)
 
@@ -290,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="solve and cross-check against oracles")
     ver.add_argument("instance", type=Path)
     ver.add_argument("--oracle", default="commutative",
-                     help="comma list: hungarian,commutative,blowup,enumerate2x2,newton")
+                     help="comma list: " + ",".join(ORACLES))
     _add_common(ver, solving=True)
     ver.set_defaults(func=cmd_run)
 

@@ -7,6 +7,10 @@ residues is below 2**62; sums are reduced before they can accumulate past
 Python integers: correct, but slow, and only expected for explicitly
 configured exotic primes.
 
+That choice is made here only: :func:`_dtype_for` names the dtype of a
+modulus, :func:`as_residues` makes every residue array and :func:`mod_matmul`
+is the one modular product, so no other copy of it can overflow at 62 bits.
+
 Array-level kernels (``mod_matmul``, ``mod_rref``, ...) are what the solver
 hot paths use; :class:`FieldMatrix` and :class:`Subspace` wrap them for the
 public API.
@@ -75,13 +79,10 @@ def _dtype_for(p: int):
 
 
 def as_residues(data, p: int) -> np.ndarray:
-    """Coerce nested sequences / arrays to a reduced residue array mod p."""
+    """Coerce nested sequences / arrays of any shape to a reduced residue array mod p."""
     arr = np.asarray(data)
     if arr.dtype == object or p > _INT64_SAFE_MAX:
-        arr = np.array([[int(x) % p for x in row] for row in arr] if arr.ndim == 2
-                       else [int(x) % p for x in arr] if arr.ndim == 1
-                       else int(arr) % p, dtype=_dtype_for(p))
-        return arr
+        return np.asarray(np.vectorize(int, otypes=[object])(arr) % p, dtype=_dtype_for(p))
     return np.asarray(arr, dtype=np.int64) % p
 
 
@@ -93,16 +94,7 @@ def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         hi = a >> 16
         lo = a & 0xFFFF
         return (np.matmul(hi, b) % p * _SPLIT + np.matmul(lo, b)) % p
-    # Object path: np.matmul does not support object dtype.
-    a = np.asarray(a, dtype=object)
-    b = np.asarray(b, dtype=object)
-    if a.ndim == 2 and b.ndim == 2:
-        return np.dot(a, b) % p
-    if a.ndim == 3 and b.ndim == 2:
-        return np.stack([np.dot(a[i], b) % p for i in range(a.shape[0])])
-    if a.ndim == 2 and b.ndim == 3:
-        return np.stack([np.dot(a, b[i]) % p for i in range(b.shape[0])])
-    raise DimensionMismatchError(f"unsupported matmul shapes {a.shape} x {b.shape}")
+    return np.matmul(a.astype(object), b.astype(object)) % p
 
 
 def batch_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -125,15 +117,10 @@ def mod_rref(a: np.ndarray, p: int, transform: bool = False):
     first nonzero entry in column order; exact arithmetic needs nothing
     cleverer.
     """
-    a = np.asarray(a)
-    rows, cols = a.shape
-    A = a % p
-    A = A.astype(_dtype_for(p), copy=True) if A.dtype != object else A.copy()
+    A = as_residues(a, p)
+    rows, cols = A.shape
     if transform:
-        eye = np.eye(rows, dtype=np.int64)
-        if A.dtype == object:
-            eye = eye.astype(object)
-        A = np.concatenate([A, eye], axis=1)
+        A = np.concatenate([A, np.eye(rows, dtype=A.dtype)], axis=1)
     row = 0
     pivots: list[int] = []
     for col in range(cols):
@@ -176,15 +163,11 @@ def mod_inverse_matrix(a: np.ndarray, p: int) -> np.ndarray:
 
 def mod_nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Columns spanning {x : a @ x == 0}; shape (cols, cols - rank)."""
-    a = np.asarray(a)
-    rows, cols = a.shape
     R, _, rank, pivots = mod_rref(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=_dtype_for(p))
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, j] = (-int(R[i, fc])) % p
+    free = [c for c in range(R.shape[1]) if c not in pivots]
+    basis = np.zeros((R.shape[1], len(free)), dtype=R.dtype)
+    basis[free, np.arange(len(free))] = 1
+    basis[list(pivots)] = -R[:rank, free] % p
     return basis
 
 
@@ -306,8 +289,7 @@ class FieldMatrix:
                 and bool(np.all(self.data == other.data)))
 
     def __hash__(self):
-        return hash((self.p, self.data.shape, self.data.tobytes() if self.data.dtype != object
-                     else tuple(map(int, self.data.ravel()))))
+        return hash((self.p, self.data.shape, tuple(self.data.ravel().tolist())))
 
     def rank(self) -> int:
         return mod_rank(self.data, self.p)

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, FormatError, NonPrimeError
-from .field_linalg import DEFAULT_PRIME, FieldMatrix, PrimeModulus
+from .field_linalg import DEFAULT_PRIME, FieldMatrix, PrimeModulus, mod_matmul
 
 SCHEMA_VERSION = 1
 
@@ -94,8 +94,7 @@ class IntegerInstance:
         return max(1, recomputed, recorded)
 
     def reduce_mod(self, p: int) -> Instance:
-        mats = [np.array([[int(x) % p for x in row] for row in mat]) for mat in self.mats]
-        return Instance.from_arrays(p, mats, self.costs,
+        return Instance.from_arrays(p, self.mats, self.costs,
                                     {**self.meta, "reduced_mod": p})
 
 
@@ -201,7 +200,7 @@ def gen_rank1(n: int, m: int, seed: int, cost_range: tuple[int, int] = (-10, 10)
     for _ in range(m):
         u = rng.integers(0, p, size=(n, 1))
         v = rng.integers(0, p, size=(1, n))
-        mats.append(u * v % p)
+        mats.append(mod_matmul(u, v, p))
         costs.append(int(rng.integers(lo, hi + 1)))
     return Instance.from_arrays(p, mats, costs, {"generator": "rank1", "seed": seed})
 
@@ -234,7 +233,7 @@ def _random_block_of_rank(rank: int, rng: np.random.Generator, p: int) -> np.nda
         while True:
             u = rng.integers(0, p, size=(2, 1))
             v = rng.integers(0, p, size=(1, 2))
-            blk = u * v % p
+            blk = mod_matmul(u, v, p)
             if np.any(blk):
                 return blk
     while True:

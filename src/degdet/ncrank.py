@@ -40,8 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NcRankGapError
-from .field_linalg import (FieldMatrix, _span_columns, mod_column_space, mod_contains,
-                           mod_matmul, mod_nullspace, mod_preimage, mod_rank, mod_rref)
+from .field_linalg import (FieldMatrix, _span_columns, as_residues, mod_column_space,
+                           mod_contains, mod_matmul, mod_nullspace, mod_preimage, mod_rank,
+                           mod_rref)
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class ConstPencil:
             raise DimensionMismatchError(f"pencil stack must be (m, n, n), got {arr.shape}")
         if arr.shape[0] < 1:
             raise DimensionMismatchError("pencil needs at least one term")
-        arr = arr % self.p
+        arr = as_residues(arr, self.p)
         arr.flags.writeable = False
         object.__setattr__(self, "stack", arr)
 
@@ -113,9 +114,7 @@ class Certificate:
 def _complete_basis(cols: np.ndarray, p: int) -> np.ndarray:
     """Columns of the identity completing `cols` to a basis of GF(p)^n."""
     n, k = cols.shape
-    eye = np.eye(n, dtype=np.int64)
-    if cols.dtype == object:
-        eye = eye.astype(object)
+    eye = np.eye(n, dtype=cols.dtype)
     joint = np.concatenate([cols, eye], axis=1)
     _, _, rank, pivots = mod_rref(joint, p)
     if rank != n:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, PrecisionUnsupportedError,
                      RetryExhaustedError, SizeLimitError)
-from .field_linalg import _SPLIT, batch_pow
+from .field_linalg import as_residues, batch_pow, mod_matmul
 from .infinity import MINUS_INFINITY, MinusInfinity, is_minus_infinity
 from .instances import Instance
 from .ncrank import ConstPencil, build_blowup
@@ -41,10 +41,9 @@ NEWTON_SIZE_LIMIT = 7
 
 def batch_det(mats: np.ndarray, p: int) -> np.ndarray:
     """Determinants mod p of a (B, k, k) stack, eliminated in lockstep."""
-    A = np.asarray(mats, dtype=np.int64) % p
-    A = A.copy()
+    A = as_residues(mats, p)
     nbatch, k, _ = A.shape
-    det = np.ones(nbatch, dtype=np.int64)
+    det = np.ones(nbatch, dtype=A.dtype)
     for col in range(k):
         nz = A[:, col:, col] != 0
         has = nz.any(axis=1)
@@ -98,8 +97,7 @@ def _newton_degree_geometric(g: int, values: np.ndarray, p: int) -> int | None:
     g^{j-level} (g^level - 1).
     """
     npts = values.shape[0]
-    coef = np.asarray(values, dtype=np.int64) % p
-    coef = coef.copy()
+    coef = as_residues(values, p)
     if npts > 1:
         inv_g = pow(g, p - 2, p)
         inv_gpow = np.empty(npts, dtype=np.int64)
@@ -154,9 +152,7 @@ def degdet_commutative(inst: Instance, seed: int = 0) -> int | MinusInfinity:
     for _ in range(TRIALS):
         lam = rng.integers(0, p, size=m)
         scaled = lam[:, None, None] * stack % p
-        hi, lo = powers >> 16, powers & 0xFFFF
-        evals = (np.einsum("jk,kab->jab", hi, scaled) % p * _SPLIT
-                 + np.einsum("jk,kab->jab", lo, scaled)) % p
+        evals = mod_matmul(powers, scaled.reshape(m, n * n), p).reshape(npts, n, n)
         dets = batch_det(evals, p)
         deg = _newton_degree_geometric(g, dets, p)
         if deg is not None:

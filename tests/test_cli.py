@@ -205,3 +205,71 @@ def test_out_holds_the_printed_report(capsys, tmp_path):
         assert report.read_text() == out.rstrip("\n")
         assert json.loads(out)["command"] == argv[0]
     assert json.loads(out)["oracles"][0]["agree"] is True
+
+
+def test_verify_checks_an_integer_file_with_every_field_oracle(capsys, tmp_path):
+    path, _ = gen_file(capsys, tmp_path, "dense", "--n", "3", "--m", "4", "--seed", "2",
+                       "--integer")
+    code, out = run_cli(capsys, "verify", str(path), "--oracle", "commutative,blowup,newton")
+    assert code == 0
+    report = json.loads(out)
+    assert report["mode"] == "rational"
+    assert [o["oracle"] for o in report["oracles"]] == ["commutative", "blowup", "newton"]
+    assert all(o["agree"] and o["value"] == report["value"] for o in report["oracles"])
+
+
+def test_verify_unknown_oracle_is_a_usage_error_before_solving(capsys, tmp_path, monkeypatch):
+    path, _ = gen_file(capsys, tmp_path, "bipartite", "--n", "3", "--seed", "2")
+
+    def never(*args):
+        raise AssertionError("solved before the oracle names were checked")
+
+    monkeypatch.setattr(cli, "_solve_any", never)
+    assert main(["verify", str(path), "--oracle", "hungarian,bogus"]) == 2
+    assert "unknown oracle 'bogus'" in capsys.readouterr().err
+
+
+def test_verify_skips_empty_oracle_entries(capsys, tmp_path):
+    path, _ = gen_file(capsys, tmp_path, "bipartite", "--n", "3", "--seed", "2")
+    code, out = run_cli(capsys, "verify", str(path), "--oracle", "hungarian,,commutative,")
+    assert code == 0
+    assert [o["oracle"] for o in json.loads(out)["oracles"]] == ["hungarian", "commutative"]
+
+
+def _gen_refused(capsys, tmp_path, *argv):
+    out = tmp_path / "g.json"
+    code = main(["gen", *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert not out.exists()
+    return code, err
+
+
+def test_gen_refuses_m_off_rank1_and_dense(capsys, tmp_path):
+    for generator in ("bipartite", "partitioned2x2"):
+        code, err = _gen_refused(capsys, tmp_path, generator, "--n", "3", "--m", "7")
+        assert code == 2 and "--m applies" in err
+
+
+def test_gen_refuses_density_off_bipartite(capsys, tmp_path):
+    for generator in ("rank1", "dense", "partitioned2x2"):
+        code, err = _gen_refused(capsys, tmp_path, generator, "--n", "3", "--density", "0.1")
+        assert code == 2 and "--density applies" in err
+
+
+def test_gen_refuses_entry_bound_without_integer(capsys, tmp_path):
+    for generator in ("bipartite", "dense"):
+        code, err = _gen_refused(capsys, tmp_path, generator, "--n", "3",
+                                 "--entry-bound", "9")
+        assert code == 2 and "--entry-bound applies" in err
+
+
+def test_gen_defaults_write_the_library_defaults(capsys, tmp_path):
+    cases = [
+        (("bipartite", "--n", "4", "--seed", "3"),
+         instances.gen_bipartite(instances.random_bipartite_weights(4, 3))),
+        (("dense", "--n", "3", "--m", "4", "--seed", "2", "--integer"),
+         instances.gen_integer(3, 4, 2)),
+    ]
+    for argv, inst in cases:
+        _, digest = gen_file(capsys, tmp_path, *argv)
+        assert digest == hashlib.sha256(instances.save(inst)).hexdigest()

@@ -4,6 +4,7 @@ import pytest
 from degdet import (DEFAULT_PRIME, FieldMatrix, PrimeModulus, Subspace, column_space,
                     is_prime, nullspace, preimage, rref, span_union)
 from degdet.errors import DimensionMismatchError, NonPrimeError
+from degdet.field_linalg import as_residues, mod_matmul
 
 from conftest import brute_rank_mod
 
@@ -181,3 +182,31 @@ def test_transpose_and_add_sub():
     A = FieldMatrix.from_rows(P, [[1, 2], [3, 4]])
     assert A.transpose().data.tolist() == [[1, 3], [2, 4]]
     assert (A + A - A) == A
+
+
+P61 = 2**61 - 1  # a Mersenne prime; residues need the object path
+
+
+@pytest.mark.parametrize("p", [5, P, P61])
+def test_as_residues_one_rule_for_every_shape(p):
+    rng = np.random.default_rng(3)
+    data = rng.integers(-2**40, 2**40, size=(2, 3, 4))
+    dtype = np.int64 if p <= P else object
+    for arr in (data, data[0], data[0, 0], data[0, 0, 0]):
+        got = as_residues(arr, p)
+        assert got.shape == np.shape(arr) and got.dtype == dtype
+        want = [int(x) % p for x in np.ravel(arr)]
+        assert [int(x) for x in np.ravel(got)] == want
+        assert np.array_equal(as_residues(np.asarray(arr, dtype=object), p), got)
+
+
+def test_mod_matmul_broadcasts_object_stacks():
+    rng = np.random.default_rng(4)
+    a = (rng.integers(0, 2**40, size=(3, 2, 4)).astype(object) * 2**20) % P61
+    b = (rng.integers(0, 2**40, size=(3, 4, 5)).astype(object) * 2**20) % P61
+    got = mod_matmul(a, b, P61)
+    assert got.shape == (3, 2, 5)
+    for k in range(3):
+        want = [[sum(int(a[k, i, t]) * int(b[k, t, j]) for t in range(4)) % P61
+                 for j in range(5)] for i in range(2)]
+        assert got[k].tolist() == want

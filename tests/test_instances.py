@@ -290,3 +290,17 @@ def test_save_bytes_are_pinned(name):
     data = save(_save_digest_cases()[name])
     assert hashlib.sha256(data).hexdigest() == SAVE_DIGESTS[name]
     assert save(load(data)) == data
+
+
+P61 = 2**61 - 1
+
+
+def test_gen_rank1_terms_have_rank_one_at_a_62_bit_prime():
+    inst = gen_rank1(3, 4, seed=0, p=P61)
+    assert [mat.rank() for mat in inst.mats] == [1] * 4
+
+
+def test_gen_2x2_respects_rank_profile_at_a_62_bit_prime():
+    profile = [[0, 1, 2], [1, 1, 2], [2, 1, 0]]
+    part = gen_2x2(3, seed=5, rank_profile=profile, p=P61)
+    assert [[blk.rank() for blk in row] for row in part.blocks] == profile

@@ -163,3 +163,14 @@ def test_build_blowup_is_a_readonly_const_pencil(p):
     point = rng.integers(0, p, size=(2, d, d))
     assert np.array_equal(blow.substitute(point.reshape(-1)),
                           substituted_blowup(pen, point, d))
+
+
+def test_const_pencil_reduces_an_int64_stack_at_a_62_bit_prime():
+    # int64 products of these residues overflow; the pencil must hold Python ints
+    big = 2**61 - 1
+    a, b = 2**40 + 3, 2**41 + 7
+    pen = ConstPencil(big, np.array([[[a, 2 * a], [b, 2 * b]]], dtype=np.int64))
+    assert pen.stack.dtype == object
+    cert = solve_R(pen, seed=0)
+    assert cert.value == 1
+    assert cert.check(pen)

@@ -186,3 +186,10 @@ def test_degdet_blowup_retry_exhausted(monkeypatch):
     with pytest.raises(RetryExhaustedError, match="after 4 retries"):
         oracles.degdet_blowup(inst, seed=0)
     assert len(calls) == oracles.BLOWUP_RETRIES == 4
+
+
+def test_batch_det_at_a_62_bit_prime_matches_exact_integers():
+    big = 2**61 - 1
+    mats = np.random.default_rng(0).integers(0, big, size=(4, 3, 3))
+    got = batch_det(mats, big)
+    assert [int(x) for x in got] == [det_int(mat) % big for mat in mats]

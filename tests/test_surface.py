@@ -1,6 +1,7 @@
 """Guards on the public surface: a new knob, a new public name or a stale doc fails here."""
 
 import argparse
+import ast
 import dataclasses
 import re
 from pathlib import Path
@@ -54,3 +55,14 @@ def test_readme_flags_are_the_registered_ones_per_subcommand():
                          if opt not in ("-h", "--help")]
                   for name, sub in subparsers.choices.items()}
     assert listed == registered
+
+
+def test_private_kernel_names_imported_elsewhere_are_the_snapshot():
+    # the int64/object choice lives in field_linalg; reaching into more of its
+    # internals from another module is a deliberate edit of this set
+    reached = set()
+    for path in Path(degdet.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "field_linalg":
+                reached |= {alias.name for alias in node.names if alias.name.startswith("_")}
+    assert reached == {"_dtype_for", "_mod_sandwich", "_span_columns"}
