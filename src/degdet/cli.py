@@ -76,6 +76,12 @@ def cmd_gen(args) -> int:
         raise UsageError("--density applies to the bipartite generator only")
     if args.entry_bound is not None and not args.integer:
         raise UsageError("--entry-bound applies to --integer instances only")
+    if args.n < 1 or (args.m is not None and args.m < 1):
+        raise UsageError("--n and --m must be at least 1")
+    if args.cmin > args.cmax:
+        raise UsageError("--cmin must not exceed --cmax")
+    if args.entry_bound is not None and args.entry_bound < 0:
+        raise UsageError("--entry-bound must not be negative")
     p = args.prime if args.prime is not None else DEFAULT_PRIME
     cost_range = (args.cmin, args.cmax)
     if args.generator == "bipartite":
@@ -325,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                          sort_keys=True), file=sys.stdout)
         return EXIT_SOLVER_ERROR
-    except (FileNotFoundError, UsageError) as exc:
+    except (OSError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -74,6 +74,10 @@ class IntegerInstance:
     meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.m < 1 or self.n < 1:
+            raise DimensionMismatchError("need n >= 1 and m >= 1")
+        if len(self.mats) != self.m or len(self.costs) != self.m:
+            raise DimensionMismatchError("mats/costs length must equal m")
         fixed = []
         for mat in self.mats:
             arr = np.array([[int(x) for x in row] for row in np.asarray(mat)], dtype=object)
@@ -320,6 +324,13 @@ def _int_array(value, what: str, exact: bool) -> np.ndarray:
     return arr
 
 
+def _check_header(doc: dict, **sizes: int) -> None:
+    """FormatError when a size the file states disagrees with its arrays."""
+    for key, size in sizes.items():
+        if key in doc and _ints([doc[key]], key)[0] != size:
+            raise FormatError(f"header {key}={doc[key]} disagrees with the arrays ({size})")
+
+
 def load(data: bytes) -> Instance | IntegerInstance | PartitionedInstance:
     """Parse instance bytes; raises FormatError / NonPrimeError on bad input,
     including any non-integer number where the format asks for an integer."""
@@ -339,8 +350,10 @@ def load(data: bytes) -> Instance | IntegerInstance | PartitionedInstance:
         if "prime" in doc:
             p = _ints([doc["prime"]], "prime")[0]
             PrimeModulus(p)  # raises NonPrimeError on composite moduli
-            return Instance.from_arrays(p, [_int_array(m, "mats", exact) for m in doc["mats"]],
+            inst = Instance.from_arrays(p, [_int_array(m, "mats", exact) for m in doc["mats"]],
                                         _ints(doc["costs"], "costs"), doc.get("meta", {}))
+            _check_header(doc, n=inst.n, m=inst.m)
+            return inst
         n, m = _ints([doc["n"], doc["m"]], "n and m")
         return IntegerInstance(n, m, tuple(_int_array(mat, "mats", exact) for mat in doc["mats"]),
                                tuple(_ints(doc["costs"], "costs")), doc.get("meta", {}))
@@ -357,6 +370,7 @@ def _load_partitioned(doc: dict, exact: bool) -> PartitionedInstance:
     if full.ndim != 2 or full.shape[0] != full.shape[1] or full.shape[0] % 2:
         raise FormatError("partitioned blocks must form a square even-sized matrix")
     n = full.shape[0] // 2
+    _check_header(doc, n=n)
     blocks = tuple(tuple(FieldMatrix(p, full[2 * i: 2 * i + 2, 2 * j: 2 * j + 2])
                          for j in range(n)) for i in range(n))
     costs = tuple(tuple(_ints(row, "block_costs")) for row in doc["block_costs"])

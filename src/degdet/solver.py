@@ -165,7 +165,8 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
     """Like :func:`solve`, additionally returning the final pencil.
 
     The pencil is None when the instance is nc-singular or when the value had
-    to come from the blow-up fallback.
+    to come from the blow-up fallback.  Tests read it (the golden records);
+    the package itself only needs :func:`solve`.
 
     The certificate of the constant pencil decides singularity.  With scaling
     the first phase starts on that same pencil, so the certificate also

@@ -273,3 +273,16 @@ def test_gen_defaults_write_the_library_defaults(capsys, tmp_path):
     for argv, inst in cases:
         _, digest = gen_file(capsys, tmp_path, *argv)
         assert digest == hashlib.sha256(instances.save(inst)).hexdigest()
+
+
+def test_gen_refuses_out_of_range_sizes_and_bounds(capsys, tmp_path):
+    for argv, phrase in [(("--n", "-1"), "--n and --m"), (("--n", "2", "--m", "0"), "--n and --m"),
+                         (("--n", "2", "--cmin", "5", "--cmax", "1"), "--cmin"),
+                         (("--n", "2", "--integer", "--entry-bound", "-3"), "--entry-bound")]:
+        code, err = _gen_refused(capsys, tmp_path, "dense", *argv)
+        assert code == 2 and phrase in err, argv
+
+
+def test_solve_a_directory_exits_2(capsys, tmp_path):
+    code = main(["solve", str(tmp_path)])
+    assert code == 2 and "error:" in capsys.readouterr().err

@@ -304,3 +304,14 @@ def test_gen_2x2_respects_rank_profile_at_a_62_bit_prime():
     profile = [[0, 1, 2], [1, 1, 2], [2, 1, 0]]
     part = gen_2x2(3, seed=5, rank_profile=profile, p=P61)
     assert [[blk.rank() for blk in row] for row in part.blocks] == profile
+
+
+@pytest.mark.parametrize("inst, changes", [
+    (gen_dense(2, 2, seed=26), {"n": 3, "m": 9}),
+    (gen_2x2(1, seed=27, rank_profile=[[2]]), {"n": 4}),
+    (gen_integer(2, 2, seed=28, entry_bound=3), {"m": 5, "costs": [1, 2, 3]}),
+    (gen_integer(2, 1, seed=29, entry_bound=3), {"m": 0, "mats": [], "costs": []}),
+], ids=["field", "partitioned", "integer-m-5", "integer-m-0"])
+def test_load_rejects_a_header_that_disagrees_with_the_arrays(inst, changes):
+    with pytest.raises(FormatError):
+        load(_tampered(inst, lambda doc: doc.update(changes)))

@@ -7,7 +7,7 @@ from degdet import (DEFAULT_PRIME, FieldMatrix, PartitionedInstance,
                     PrimeModulus, SolveOptions, TwoMatching, degdet_commutative,
                     enumerate_perfect, gen_2x2, is_consistent, is_minus_infinity,
                     random_rank_profile, solve, solve_and_extract, to_instance)
-from degdet.errors import DimensionMismatchError
+from degdet.errors import DimensionMismatchError, SizeLimitError
 
 from conftest import brute_rank_mod
 
@@ -158,8 +158,31 @@ def test_extraction_failed_on_impossible_value(monkeypatch):
 
     def fake_solver(inst, opts):
         # a value no 2-matching can reach forces the mismatch branch
-        return SolveReport(10**9, (), (1,), 1, 1, 0), None
+        return SolveReport(10**9, (), (1,), 1, 1, 0)
 
-    monkeypatch.setattr(pt, "solve_with_final_pencil", fake_solver)
+    monkeypatch.setattr(pt, "solve", fake_solver)
     with pytest.raises(ExtractionFailedError):
         pt.solve_and_extract(part)
+
+
+def test_solve_and_extract_at_n6_past_the_enumeration_cap():
+    part = gen_2x2(6, seed=4, rank_profile=random_rank_profile(6, seed=4, weights=(0.5, 0.2, 0.3)),
+                   cost_range=(-5, 5))
+    value, matching = solve_and_extract(part, SolveOptions(seed=4))
+    assert matching.is_perfect(6)
+    assert matching.weight(part.costs) == value
+    assert is_consistent(matching, part, seed=104)
+    assert degdet_commutative(to_instance(part), seed=5) == value
+    with pytest.raises(SizeLimitError):
+        enumerate_perfect(part)
+
+
+def test_solve_and_extract_at_n7():
+    diagonal = [[2 if i == j else 0 for j in range(7)] for i in range(7)]
+    with pytest.raises(SizeLimitError):
+        solve_and_extract(gen_2x2(7, seed=8, rank_profile=diagonal))
+
+    # the value is decided before the cap applies, so a singular n = 7 still answers
+    empty_row = [[0] * 7] + [[2] * 7 for _ in range(6)]
+    value, matching = solve_and_extract(gen_2x2(7, seed=9, rank_profile=empty_row))
+    assert is_minus_infinity(value) and matching is None

@@ -66,3 +66,53 @@ def test_private_kernel_names_imported_elsewhere_are_the_snapshot():
             if isinstance(node, ast.ImportFrom) and node.module == "field_linalg":
                 reached |= {alias.name for alias in node.names if alias.name.startswith("_")}
     assert reached == {"_dtype_for", "_mod_sandwich", "_span_columns"}
+
+
+def _module_trees():
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(Path(degdet.__file__).parent.glob("*.py"))}
+
+
+def _read_names(tree) -> set:
+    """Every name the code reads, as a variable or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_import_is_used():
+    # a deleted code path must take its imports with it
+    unused = []
+    for module, tree in _module_trees().items():
+        if module == "__init__":
+            continue
+        used = _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{module}: {bound}")
+    assert unused == []
+
+
+def test_every_private_module_name_is_referenced():
+    # ...and its private helpers
+    trees = _module_trees()
+    referenced = set().union(*(_read_names(tree) for tree in trees.values()))
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+    orphans = [f"{module}: {name}" for module, name in defined
+               if name.startswith("_") and not name.startswith("__") and name not in referenced]
+    assert orphans == []
