@@ -355,8 +355,10 @@ def load(data: bytes) -> Instance | IntegerInstance | PartitionedInstance:
             _check_header(doc, n=inst.n, m=inst.m)
             return inst
         n, m = _ints([doc["n"], doc["m"]], "n and m")
-        return IntegerInstance(n, m, tuple(_int_array(mat, "mats", exact) for mat in doc["mats"]),
+        inst = IntegerInstance(n, m, tuple(_int_array(mat, "mats", exact) for mat in doc["mats"]),
                                tuple(_ints(doc["costs"], "costs")), doc.get("meta", {}))
+        _ints([inst.meta.get("entry_bound", 0)], "meta.entry_bound")  # read by prime_budget
+        return inst
     except NonPrimeError:
         raise
     except (KeyError, TypeError, ValueError, IndexError, DimensionMismatchError) as exc:

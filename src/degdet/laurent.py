@@ -1,13 +1,14 @@
 """Truncated Laurent-coefficient matrix pencils with all degrees <= 0.
 
-A pencil stores, per symbolic variable, a map from degree d in {0, -1, -2,
-...} to an n x n coefficient matrix over GF(p).  Absent degrees are zero.
-The only supported mutations are exactly the ones the solver performs:
-certificate updates (row lift / column drop), squaring the series variable,
-a uniform degree shift, and truncation of deep terms.  Everything returns a
-new value; nothing is modified in place.  :func:`leading` reads the degree-0
-coefficients as a :class:`~degdet.ncrank.ConstPencil`, the one constant-pencil
-type the certificate oracle takes.
+A pencil sum_k B_k x_k, B_k = sum_d B_{k,d} t^d over GF(p), is one slab
+store: a read-only (K, n, n) array of the nonzero B_{k,d} and (K,) arrays
+naming each slab's term k and degree d, no pair twice.  The solver's four
+moves are index operations on it that return a new pencil: certificate
+updates (row lift / column drop), t -> t^2, t^-1 on chosen terms, and
+truncation of deep slabs.  :func:`leading` gathers the degree-0 slabs as a
+:class:`~degdet.ncrank.ConstPencil`, the constant-pencil type the
+certificate oracle takes.  :class:`LaurentMatrix` is the per-term view
+(:attr:`LaurentPencil.terms`, :meth:`LaurentPencil.from_terms`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PositiveDegreeError
+from .errors import DimensionMismatchError, PositiveDegreeError, SizeLimitError
 from .field_linalg import FieldMatrix, _dtype_for, _mod_sandwich, as_residues
 from .ncrank import ConstPencil
 
@@ -81,13 +82,6 @@ class LaurentMatrix:
         """Multiply by t**-1: every degree drops by one."""
         return LaurentMatrix._wrap(self.p, self.n, {d - 1: m for d, m in self.coeffs.items()})
 
-    def truncated(self, depth: int) -> "LaurentMatrix":
-        """Drop every coefficient at degree <= -depth."""
-        if not self.coeffs or self.depth > -depth:
-            return self
-        return LaurentMatrix._wrap(self.p, self.n,
-                                   {d: m for d, m in self.coeffs.items() if d > -depth})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentMatrix) or (self.p, self.n) != (other.p, other.n):
             return False
@@ -99,38 +93,66 @@ class LaurentMatrix:
         return hash((self.p, self.n, tuple(sorted(self.coeffs))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaurentPencil:
-    """The full symbolic matrix: one LaurentMatrix per variable."""
+    """The full symbolic matrix as a slab store, slabs in (term, degree) order."""
 
     p: int
     n: int
     m: int
-    terms: tuple[LaurentMatrix, ...]
-
-    def __post_init__(self):
-        if len(self.terms) != self.m:
-            raise DimensionMismatchError("term count does not match m")
-        for term in self.terms:
-            if term.p != self.p or term.n != self.n:
-                raise DimensionMismatchError("pencil terms disagree on modulus or size")
-        object.__setattr__(self, "terms", tuple(self.terms))
+    coeffs: np.ndarray  # (K, n, n) nonzero residues
+    term: np.ndarray  # (K,) int64 in range(m)
+    degree: np.ndarray  # (K,) int64, <= 0
 
     @classmethod
-    def from_constants(cls, p: int, mats: Sequence, degrees: Sequence[int] | None = None) -> "LaurentPencil":
-        terms = []
-        for k, mat in enumerate(mats):
-            deg = 0 if degrees is None else degrees[k]
-            terms.append(LaurentMatrix.from_constant(p, mat, deg))
-        n = terms[0].n
-        return cls(p, n, len(terms), tuple(terms))
+    def _wrap(cls, p: int, n: int, m: int, coeffs: np.ndarray, term: np.ndarray,
+              degree: np.ndarray) -> "LaurentPencil":
+        # internal fast path; degrees >= -2^61 keep t -> t^2 and t^-1 inside int64
+        if degree.size and degree.min() < -2**61:
+            raise SizeLimitError("pencil degree below -2^61: costs this large need truncation")
+        for arr in (coeffs, term, degree):
+            arr.flags.writeable = False
+        return cls(p, n, m, coeffs, term, degree)
+
+    @classmethod
+    def from_constants(cls, p: int, mats: Sequence, degrees: Sequence[int] | None = None
+                       ) -> "LaurentPencil":
+        """B_k = mats[k] t^degrees[k] (degree 0 by default); zero matrices store nothing."""
+        stack = as_residues(mats, p)
+        m, n = len(stack), stack.shape[-1]
+        degree = np.zeros(m, np.int64) if degrees is None else np.array(degrees, np.int64)
+        if stack.shape != (m, n, n) or degree.shape != (m,):
+            raise DimensionMismatchError(f"need m n x n matrices and m degrees, got {stack.shape}")
+        if np.any(degree > 0):
+            raise PositiveDegreeError("coefficient stored at positive degree")
+        live = np.flatnonzero(stack.any(axis=(1, 2)))
+        return cls._wrap(p, n, m, stack if len(live) == m else stack[live], live, degree[live])
+
+    @classmethod
+    def from_terms(cls, p: int, n: int, terms: Sequence[LaurentMatrix]) -> "LaurentPencil":
+        """The pencil whose k-th term is terms[k], each over GF(p) and n x n."""
+        if any(mat.p != p or mat.n != n for mat in terms):
+            raise DimensionMismatchError("pencil terms disagree on modulus or size")
+        keys = [(k, d) for k, mat in enumerate(terms) for d in mat.degrees()]
+        slabs = [terms[k].coeffs[d] for k, d in keys]
+        coeffs = np.stack(slabs) if slabs else np.zeros((0, n, n), dtype=_dtype_for(p))
+        term, degree = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+        return cls._wrap(p, n, len(terms), coeffs, term, degree)
+
+    @property
+    def terms(self) -> tuple[LaurentMatrix, ...]:
+        """Per-term read view; each LaurentMatrix holds the stored slabs, not copies."""
+        views: list[dict[int, np.ndarray]] = [{} for _ in range(self.m)]
+        for k, d, slab in zip(self.term.tolist(), self.degree.tolist(), self.coeffs):
+            views[k][d] = slab
+        return tuple(LaurentMatrix._wrap(self.p, self.n, view) for view in views)
 
 
 def leading(pencil: LaurentPencil) -> ConstPencil:
     """The constant pencil of degree-0 coefficients (zero where a term has none)."""
     stack = np.zeros((pencil.m, pencil.n, pencil.n), dtype=_dtype_for(pencil.p))
-    for k, term in enumerate(pencil.terms):
-        stack[k] = term.coeffs.get(0, 0)
+    top = pencil.degree == 0
+    stack[pencil.term[top]] = pencil.coeffs[top]
     return ConstPencil._wrap(pencil.p, stack)
 
 
@@ -143,75 +165,55 @@ def step_update(pencil: LaurentPencil, S: FieldMatrix, T: FieldMatrix,
     :class:`PositiveDegreeError`.
     """
     n = pencil.n
-    p = pencil.p
     if not (0 <= r <= n and 0 <= s <= n):
         raise DimensionMismatchError(f"block sizes r={r}, s={s} out of range for n={n}")
     if S.data.shape != (n, n) or T.data.shape != (n, n):
         raise DimensionMismatchError("S and T must be n x n")
     cut = n - s
-    per_term_degs = [term.degrees() for term in pencil.terms]
-    slabs = [term.coeffs[d] for term, degs in zip(pencil.terms, per_term_degs) for d in degs]
-    if not slabs:
-        return pencil
-    # one batched S @ . @ T over every stored coefficient of every term
-    mid_all = _mod_sandwich(S.data, np.stack(slabs), T.data, p)
-    K = len(slabs)
-    # which of each slab's four blocks are nonzero; a bucket is only made for
-    # a nonzero block, and the four blocks a bucket receives are disjoint, so
-    # every bucket ends up nonzero
-    lifted, kept_top, kept_bottom, dropped = (
-        block.reshape(K, -1).any(axis=1).tolist()
-        for block in (mid_all[:, :r, cut:], mid_all[:, :r, :cut],
-                      mid_all[:, r:, cut:], mid_all[:, r:, :cut]))
-    new_terms = []
-    offset = 0
-    for term, degs in zip(pencil.terms, per_term_degs):
-        if not degs:
-            new_terms.append(term)
-            continue
-        target: dict[int, np.ndarray] = {}
-
-        def bucket(deg: int) -> np.ndarray:
-            got = target.get(deg)
-            if got is None:
-                got = np.zeros((n, n), dtype=mid_all.dtype)
-                target[deg] = got
-            return got
-
-        for k, d in enumerate(degs, offset):
-            piece = mid_all[k]
-            if lifted[k]:
-                if d == 0:
-                    raise PositiveDegreeError(
-                        "certificate zero-block violated: entries would reach degree +1")
-                bucket(d + 1)[:r, cut:] = piece[:r, cut:]
-            if kept_top[k]:
-                bucket(d)[:r, :cut] = piece[:r, :cut]
-            if kept_bottom[k]:
-                bucket(d)[r:, cut:] = piece[r:, cut:]
-            if dropped[k]:
-                bucket(d - 1)[r:, :cut] = piece[r:, :cut]
-        offset += len(degs)
-        for arr in target.values():
-            arr.flags.writeable = False
-        new_terms.append(LaurentMatrix._wrap(p, n, target))
-    return LaurentPencil(p, n, pencil.m, tuple(new_terms))
+    mid = _mod_sandwich(S.data, pencil.coeffs, T.data, pencil.p)
+    # each slab's four blocks, with the degree shift each one takes
+    blocks = ((np.s_[:r], np.s_[cut:], 1), (np.s_[:r], np.s_[:cut], 0),
+              (np.s_[r:], np.s_[cut:], 0), (np.s_[r:], np.s_[:cut], -1))
+    live = [mid[:, rows, cols].any(axis=(1, 2)) for rows, cols, _ in blocks]
+    # sort the target (term, degree) of each nonzero block; equal ones share a slot
+    term = np.concatenate([pencil.term[nz] for nz in live])
+    degree = np.concatenate([pencil.degree[nz] + shift for nz, (_, _, shift) in zip(live, blocks)])
+    if degree.max(initial=0) > 0:  # only a lifted block of a degree-0 slab gets here
+        raise PositiveDegreeError("certificate zero-block violated: entries would reach degree +1")
+    order = np.lexsort((degree, term))
+    term, degree = term[order], degree[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (term[1:] != term[:-1]) | (degree[1:] != degree[:-1])
+    where = (np.cumsum(first) - 1)[np.argsort(order)]
+    out = np.zeros((int(first.sum()), n, n), dtype=mid.dtype)
+    # distinct slabs land in distinct slots, and a slot's four blocks are disjoint
+    bounds = np.cumsum([0] + [int(nz.sum()) for nz in live]).tolist()
+    for nz, (rows, cols, _), lo, hi in zip(live, blocks, bounds, bounds[1:]):
+        out[where[lo:hi], rows, cols] = mid[nz, rows, cols]
+    return LaurentPencil._wrap(pencil.p, n, pencil.m, out, term[first], degree[first])
 
 
 def square_substitute(pencil: LaurentPencil) -> LaurentPencil:
-    """t -> t**2 on every term."""
-    return LaurentPencil(pencil.p, pencil.n, pencil.m,
-                         tuple(t.square_substitute() for t in pencil.terms))
+    """t -> t**2 on every term: every degree doubles."""
+    return LaurentPencil._wrap(pencil.p, pencil.n, pencil.m, pencil.coeffs, pencil.term,
+                               2 * pencil.degree)
 
 
-def scale_tinv(term: LaurentMatrix) -> LaurentMatrix:
-    """t**-1 times one term."""
-    return term.scale_tinv()
+def scale_tinv(pencil: LaurentPencil, which: Sequence[int]) -> LaurentPencil:
+    """t**-1 times every term k with which[k] == 1 (which is a 0/1 vector over the terms)."""
+    bits = np.asarray(which)
+    if bits.shape != (pencil.m,) or not ((bits == 0) | (bits == 1)).all():
+        raise DimensionMismatchError("which must be a 0/1 vector with one entry per term")
+    return LaurentPencil._wrap(pencil.p, pencil.n, pencil.m, pencil.coeffs, pencil.term,
+                               pencil.degree - (bits == 1)[pencil.term])
 
 
 def truncate(pencil: LaurentPencil, depth: int) -> LaurentPencil:
     """Remove every coefficient at degree <= -depth from every term."""
     if depth < 0:
         raise DimensionMismatchError("truncation depth must be nonnegative")
-    return LaurentPencil(pencil.p, pencil.n, pencil.m,
-                         tuple(t.truncated(depth) for t in pencil.terms))
+    keep = pencil.degree > -depth
+    if keep.all():
+        return pencil
+    return LaurentPencil._wrap(pencil.p, pencil.n, pencil.m, pencil.coeffs[keep],
+                               pencil.term[keep], pencil.degree[keep])

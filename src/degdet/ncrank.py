@@ -163,24 +163,20 @@ def _wong_certificate(pencil: ConstPencil, B: np.ndarray, rho: int) -> Certifica
     return Certificate(FieldMatrix(p, S), FieldMatrix(p, T), r, s, rho)
 
 
-def solve_R(pencil: ConstPencil, seed: int, retries: int | None = None) -> Certificate:
+def solve_R(pencil: ConstPencil, seed: int) -> Certificate:
     """Solve (R): an exact certificate whose value equals nc-rank(pencil).
 
     Succeeds whenever the commutative rank equals the noncommutative rank
     (the instance classes in scope); a full-rank substitution short-circuits
     to the degenerate certificate (I, I, 0, n).  Raises
-    :class:`NcRankGapError` after `retries` samples without a trapped Wong
+    :class:`NcRankGapError` after 3n samples without a trapped Wong
     sequence.
     """
     p, n, m = pencil.p, pencil.n, pencil.m
-    if retries is None:
-        retries = 3 * n
-    if retries < 1:
-        raise DimensionMismatchError("retries must be at least 1")
     rng = np.random.default_rng(seed)
     ident = FieldMatrix.identity(p, n)
     best_rank = -1
-    for _ in range(retries):
+    for _ in range(3 * n):
         lam = rng.integers(0, p, size=m)
         B = pencil.substitute(lam)
         rank = mod_rank(B, p)
@@ -193,7 +189,7 @@ def solve_R(pencil: ConstPencil, seed: int, retries: int | None = None) -> Certi
         if cert is not None:
             return cert
     raise NcRankGapError(
-        f"no certificate after {retries} samples (best substitution rank {best_rank}); "
+        f"no certificate after {3 * n} samples (best substitution rank {best_rank}); "
         "commutative rank is likely below nc-rank")
 
 

@@ -115,14 +115,21 @@ def is_consistent(matching: TwoMatching, part: PartitionedInstance, seed: int = 
     return mod_rank(acc, part.p) == matching.size()
 
 
-def _perfect_two_matchings(n: int, allowed: set) -> Iterator[TwoMatching]:
-    """All perfect 2-matchings over the allowed edge set (pairs of perfect
-    matchings, deduplicated as multisets), generated in a fixed order."""
+def _perfect_two_matchings(part: PartitionedInstance, weight: int | None = None
+                           ) -> Iterator[tuple[int, TwoMatching]]:
+    """(weight, matching) per perfect 2-matching (pairs of perfect matchings,
+    deduplicated as multisets) in a fixed order.  With `weight`, a pair that
+    misses it is skipped unbuilt; duplicates weigh alike, so dedup is kept."""
+    n, costs, allowed = part.n, part.costs, set(part.edges())
     perms = [perm for perm in permutations(range(n))
              if all((i, perm[i]) in allowed for i in range(n))]
+    weights = [sum(costs[i][perm[i]] for i in range(n)) for perm in perms]
     seen = set()
     for a in range(len(perms)):
         for b in range(a, len(perms)):
+            total = weights[a] + weights[b]
+            if weight is not None and total != weight:
+                continue
             counter: Counter = Counter()
             for i in range(n):
                 counter[(i, perms[a][i])] += 1
@@ -130,7 +137,7 @@ def _perfect_two_matchings(n: int, allowed: set) -> Iterator[TwoMatching]:
             matching = TwoMatching.from_multiset(counter)
             if matching.edges not in seen:
                 seen.add(matching.edges)
-                yield matching
+                yield total, matching
 
 
 def enumerate_perfect(part: PartitionedInstance, seed: int = 0
@@ -138,14 +145,11 @@ def enumerate_perfect(part: PartitionedInstance, seed: int = 0
     """Exhaustive maximum-weight perfect consistent 2-matching (desk scale)."""
     if part.n > ENUMERATION_SIZE_LIMIT:
         raise SizeLimitError(f"enumeration is capped at n={ENUMERATION_SIZE_LIMIT}")
-    allowed = set(part.edges())
     best_weight: int | MinusInfinity = MINUS_INFINITY
     best = None
-    for matching in _perfect_two_matchings(part.n, allowed):
-        if not is_consistent(matching, part, seed=seed):
-            continue
-        w = matching.weight(part.costs)
-        if is_minus_infinity(best_weight) or w > best_weight:
+    for w, matching in _perfect_two_matchings(part):
+        if is_consistent(matching, part, seed=seed) and (
+                is_minus_infinity(best_weight) or w > best_weight):
             best_weight, best = w, matching
     return best_weight, best
 
@@ -170,8 +174,7 @@ def solve_and_extract(part: PartitionedInstance, opts: SolveOptions | None = Non
     if part.n > EXTRACTION_SIZE_LIMIT:
         raise SizeLimitError(f"witness extraction is capped at n={EXTRACTION_SIZE_LIMIT}")
     rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 0x2A)))
-    for matching in _perfect_two_matchings(part.n, set(part.edges())):
-        if (matching.weight(part.costs) == value
-                and is_consistent(matching, part, seed=int(rng.integers(0, 2**63)))):
+    for _, matching in _perfect_two_matchings(part, value):
+        if is_consistent(matching, part, seed=int(rng.integers(0, 2**63))):
             return value, matching
     raise ExtractionFailedError(f"no consistent 2-matching of weight {value} was found")

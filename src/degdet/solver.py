@@ -39,10 +39,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, IterationBoundExceededError, NcRankGapError
+from .errors import DimensionMismatchError, IterationBoundExceededError, NcRankGapError, SizeLimitError
 from .infinity import MINUS_INFINITY, MinusInfinity
 from .instances import Instance
-from .laurent import LaurentPencil, leading, step_update, truncate
+from .laurent import LaurentPencil, leading, scale_tinv, square_substitute, step_update, truncate
 from .ncrank import Certificate, ConstPencil, solve_R
 
 
@@ -81,9 +81,10 @@ def _limits(opts: SolveOptions, n: int, m: int, cmax: int) -> _Limits:
     """The options resolved for an n x n, m-term pencil with largest cost cmax >= 1.
 
     With scaling the proven per-phase bound n^2 m + 1 applies and truncation
-    defaults to depth 2 n^2 m.  Without scaling there is no truncation and the
+    defaults to depth 2 n^2 m.  Without scaling there is no truncation, the
     phase cap is n cmax + n + 10 calls (D* falls by >= 1 per step from n cmax
-    to an optimum >= n, so reaching it means a bug).  With truncation on, an
+    to an optimum >= n, so reaching it means a bug), and cmax > 2^61 raises
+    SizeLimitError (pencil degrees are int64).  With truncation on, an
     explicit depth below 2 n^2 m (zero and negative depths included), or any
     explicit depth without scaling, could silently change the value, so it
     raises DimensionMismatchError; with truncation off the depth is unused.
@@ -98,6 +99,8 @@ def _limits(opts: SolveOptions, n: int, m: int, cmax: int) -> _Limits:
             raise DimensionMismatchError(
                 f"truncation_depth={depth} is not proven safe: it needs scaling "
                 f"and a depth of at least 2 n^2 m = {safe}")
+    if not opts.scaling_enabled and cmax > 2**61:
+        raise SizeLimitError(f"without scaling the costs must span at most 2^61, not {cmax}")
     bound = n * n * m + 1 if opts.scaling_enabled else n * cmax + n + 10
     return _Limits(depth, bound)
 
@@ -149,7 +152,7 @@ def run_phase(pencil: LaurentPencil, dstar: int, opts: SolveOptions | None = Non
     opts = opts or SolveOptions()
     rng = np.random.default_rng(opts.seed)
     # the no-scaling cap of a solve whose cost-1 term sits at the lowest degree
-    cmax = 1 - min(term.depth for term in pencil.terms)
+    cmax = 1 - int(pencil.degree.min(initial=0))
     lim = _limits(opts, pencil.n, pencil.m, cmax)
     return _run_phase(pencil, dstar, rng, lim, [])
 
@@ -215,7 +218,7 @@ def _descend(inst: Instance, shifted: tuple[int, ...], opts: SolveOptions,
     With scaling phase 0 starts on the constant pencil, whose certificate
     `first` answers the first oracle call; without scaling N = 0.
     """
-    n, m = inst.n, inst.m
+    n = inst.n
     cmax = max(shifted)
     if opts.scaling_enabled:
         num_doublings = (cmax - 1).bit_length()  # ceil(log2 cmax) for cmax >= 1
@@ -228,17 +231,10 @@ def _descend(inst: Instance, shifted: tuple[int, ...], opts: SolveOptions,
     dstar = n * top
     for theta in range(num_doublings + 1):
         if theta:
+            # B_k(t^2), times t^-1 where the doubled scaled cost 2 ceil(c/2den)
+            # exceeds ceil(c/den), i.e. where ceil(c/den) is odd
             den = 1 << (num_doublings - theta)
-            new_terms = []
-            for c, term in zip(shifted, pencil.terms):
-                sub = term.square_substitute()
-                drop = 2 * _ceil_div(c, 2 * den) - _ceil_div(c, den)
-                if drop == 1:
-                    sub = sub.scale_tinv()
-                elif drop:  # pragma: no cover - arithmetic impossibility
-                    raise AssertionError("scaled cost moved by more than one")
-                new_terms.append(sub)
-            pencil = LaurentPencil(inst.p, n, m, tuple(new_terms))
+            pencil = scale_tinv(square_substitute(pencil), _ceil_div(np.array(shifted), den) % 2)
             if lim.depth is not None:
                 pencil = truncate(pencil, lim.depth)
             dstar *= 2

@@ -286,3 +286,15 @@ def test_gen_refuses_out_of_range_sizes_and_bounds(capsys, tmp_path):
 def test_solve_a_directory_exits_2(capsys, tmp_path):
     code = main(["solve", str(tmp_path)])
     assert code == 2 and "error:" in capsys.readouterr().err
+
+
+def test_solve_reports_a_non_integer_entry_bound_as_a_format_error(capsys, tmp_path):
+    path, _ = gen_file(capsys, tmp_path, "dense", "--n", "2", "--m", "2", "--integer")
+    for bad in ("x", [1]):
+        doc = json.loads(path.read_text())
+        doc["meta"]["entry_bound"] = bad
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "solve", str(path))
+        report = json.loads(out)
+        assert code == 1 and report["error"] == "FormatError", bad
+        assert "entry_bound" in report["message"]

@@ -247,6 +247,15 @@ def test_load_rejects_non_integer_integer_instance_entry(bad):
         load(_tampered(inst, _set_entry("mats", 0, 1, 1, value=bad)))
 
 
+@pytest.mark.parametrize("bad", ["x", [1], 2.5, None, True])
+def test_load_rejects_a_non_integer_entry_bound(bad):
+    # the prime budget reads meta.entry_bound, so a bad one must fail at load
+    inst = gen_integer(2, 2, seed=26, entry_bound=3)
+    with pytest.raises(FormatError):
+        load(_tampered(inst, _set_entry("meta", "entry_bound", value=bad)))
+    assert load(save(inst)).meta["entry_bound"] == 3
+
+
 def test_load_keeps_integers_beyond_int64():
     # entries too large for int64 arrive as Python ints and still load exactly
     inst = IntegerInstance(1, 1, (np.array([[2**70]], dtype=object),), (3,))

@@ -3,7 +3,7 @@ import pytest
 
 from degdet import (DEFAULT_PRIME, ConstPencil, FieldMatrix, LaurentMatrix, LaurentPencil,
                     leading, scale_tinv, square_substitute, step_update, truncate)
-from degdet.errors import PositiveDegreeError
+from degdet.errors import DimensionMismatchError, PositiveDegreeError
 
 P = DEFAULT_PRIME
 I2 = FieldMatrix.identity(P, 2)
@@ -14,10 +14,10 @@ E21 = [[0, 0], [1, 0]]
 E22 = [[0, 0], [0, 1]]
 
 
-def pencil(*term_specs, n=2, m=None):
+def pencil(*term_specs, n=2):
     terms = tuple(LaurentMatrix(P, n, {d: np.array(mat) for d, mat in spec.items()})
                   for spec in term_specs)
-    return LaurentPencil(P, n, len(terms) if m is None else m, terms)
+    return LaurentPencil.from_terms(P, n, terms)
 
 
 def test_positive_degree_rejected_at_construction():
@@ -57,6 +57,12 @@ def test_step_update_drops_column():
     assert out.terms[0].coeffs[-1].tolist() == E21
 
 
+def test_step_update_on_a_pencil_without_slabs():
+    pen = pencil({}, {})
+    out = step_update(pen, I2, I2, 1, 1)
+    assert out.terms == pen.terms and out.coeffs.shape == (0, 2, 2)
+
+
 def test_step_update_positive_degree_error():
     # leading E12 sits exactly in the claimed zero block: invalid certificate
     pen = pencil({0: E12})
@@ -77,7 +83,7 @@ def test_step_update_preserves_nonpositive_degrees_random():
             if r and s and d == 0:
                 mat[:r, n - s:] = 0  # honor the certificate precondition
             coeffs[d] = mat
-        pen = LaurentPencil(P, n, 1, (LaurentMatrix(P, n, coeffs),))
+        pen = LaurentPencil.from_terms(P, n, (LaurentMatrix(P, n, coeffs),))
         out = step_update(pen, ident, ident, r, s)
         assert all(d <= 0 for d in out.terms[0].degrees())
 
@@ -117,13 +123,21 @@ def test_square_substitute_fixes_leading():
 
 def test_scale_tinv_examples():
     term = LaurentMatrix.from_constant(P, E11, 0)
-    assert scale_tinv(term).degrees() == (-1,)
-
     zero = LaurentMatrix.zero(P, 2)
-    assert scale_tinv(zero).is_zero()
-
     both = LaurentMatrix(P, 2, {0: np.array(E11), -1: np.array(E22)})
-    assert scale_tinv(both).degrees() == (-2, -1)
+    assert term.scale_tinv().degrees() == (-1,)
+    assert zero.scale_tinv().is_zero()
+    assert both.scale_tinv().degrees() == (-2, -1)
+
+    # the pencil form shifts exactly the marked terms, as the term form does
+    pen = LaurentPencil.from_terms(P, 2, (term, zero, both))
+    for which in ((1, 1, 1), (0, 1, 0), (1, 0, 0), (0, 0, 1)):
+        got = scale_tinv(pen, which).terms
+        want = tuple(t.scale_tinv() if w else t for t, w in zip(pen.terms, which))
+        assert got == want, which
+    for bad in ((1, 1), (0, 2, 0), (-1, 0, 0), (0.5, 1, 0)):
+        with pytest.raises(DimensionMismatchError):
+            scale_tinv(pen, bad)
 
 
 def test_truncate_examples():
@@ -157,7 +171,7 @@ def test_leading_stack_is_the_stack_of_leading_terms(p):
         if k % 2 == 0:  # odd terms have no degree-0 coefficient
             coeffs[0] = rng.integers(0, 5, size=(3, 3))
         terms.append(LaurentMatrix(p, 3, coeffs))
-    pen = LaurentPencil(p, 3, 5, tuple(terms))
+    pen = LaurentPencil.from_terms(p, 3, terms)
     const = leading(pen)
     assert isinstance(const, ConstPencil) and const.p == p
     got = const.stack
@@ -167,3 +181,69 @@ def test_leading_stack_is_the_stack_of_leading_terms(p):
     for k, term in enumerate(terms):
         assert np.array_equal(got[k], term.coeffs.get(0, np.zeros((3, 3), dtype=int)))
     assert np.array_equal(got, ConstPencil(p, got).stack)
+
+
+def solve_pencils(p):
+    """Every pencil the phase loop reads in real bipartite, rank-1 and dense solves."""
+    from degdet import SolveOptions, gen_bipartite, gen_dense, gen_rank1, random_bipartite_weights
+    from degdet import solver
+
+    seen = []
+    real = solver.leading
+
+    def recording(pen):
+        seen.append(pen)
+        return real(pen)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "leading", recording)
+        for k in range(2):
+            grid = random_bipartite_weights(4, k, (-20, 20), density=0.8)
+            solver.solve(gen_bipartite(grid, p=p), SolveOptions(seed=k))
+            solver.solve(gen_rank1(3, 4, seed=k, cost_range=(-20, 20), p=p), SolveOptions(seed=k))
+            solver.solve(gen_dense(3, 3, seed=k, cost_range=(-20, 20), p=p), SolveOptions(seed=k))
+    return seen
+
+
+@pytest.mark.parametrize("p", [5, P, 2**61 - 1])
+def test_slab_store_invariants_on_solver_pencils(p):
+    pencils = solve_pencils(p)
+    assert len(pencils) > 20
+    rng = np.random.default_rng(p % 1009)
+    for pen in pencils:
+        K = len(pen.degree)
+        assert pen.coeffs.shape == (K, pen.n, pen.n) and pen.term.shape == (K,)
+        assert pen.coeffs.dtype == (np.int64 if p <= P else object)
+        assert not pen.coeffs.flags.writeable
+        assert pen.coeffs.reshape(K, -1).any(axis=1).all()  # no all-zero slab
+        assert len(set(zip(pen.term.tolist(), pen.degree.tolist()))) == K
+        assert np.all(pen.degree <= 0)
+        assert np.all((0 <= pen.term) & (pen.term < pen.m))
+        assert LaurentPencil.from_terms(p, pen.n, pen.terms).terms == pen.terms
+        which = rng.integers(0, 2, size=pen.m)
+        moved = scale_tinv(pen, which).terms
+        for term, before, mark in zip(moved, pen.terms, which):
+            assert term == (before.scale_tinv() if mark else before)
+
+
+def test_degrees_that_would_leave_int64_raise_instead_of_wrapping():
+    from degdet import Instance, SolveOptions, gen_dense, solve
+    from degdet.errors import SizeLimitError
+
+    deep = LaurentPencil.from_constants(P, [E11], [-2**61])
+    with pytest.raises(SizeLimitError):
+        square_substitute(deep)
+    with pytest.raises(SizeLimitError):
+        scale_tinv(deep, [1])
+    # costs near 2^63: without truncation the descent's degrees pass -2^61
+    base = gen_dense(3, 4, seed=0, cost_range=(-2**20, 2**20))
+    inst = Instance.from_arrays(P, [m.data for m in base.mats],
+                                [c * 2**43 + 1 for c in base.costs])
+    with pytest.raises(SizeLimitError):
+        solve(inst, SolveOptions(seed=0, truncation_enabled=False))
+    assert solve(inst, SolveOptions(seed=0)).value == -1048063279689105405
+    # without scaling the starting degrees are c - max c
+    huge = Instance.from_arrays(P, [np.eye(2, dtype=int), np.ones((2, 2), dtype=int)], [2**64, 0])
+    with pytest.raises(SizeLimitError):
+        solve(huge, SolveOptions(scaling_enabled=False, truncation_enabled=False))
+    assert solve(huge, SolveOptions(seed=0)).value == 2**65

@@ -186,3 +186,17 @@ def test_solve_and_extract_at_n7():
     empty_row = [[0] * 7] + [[2] * 7 for _ in range(6)]
     value, matching = solve_and_extract(gen_2x2(7, seed=9, rank_profile=empty_row))
     assert is_minus_infinity(value) and matching is None
+
+
+def test_weighed_scan_is_the_full_scan_filtered_by_weight():
+    from degdet.partitioned import _perfect_two_matchings
+
+    for trial in range(6):
+        n = 2 + trial % 3
+        part = gen_2x2(n, seed=trial + 300, rank_profile=random_rank_profile(n, seed=trial),
+                       cost_range=(-3, 3))  # small costs: many pairs tie
+        full = list(_perfect_two_matchings(part))
+        assert all(w == m.weight(part.costs) for w, m in full)
+        for weight in {w for w, _ in full}:
+            assert list(_perfect_two_matchings(part, weight)) == [
+                (w, m) for w, m in full if w == weight]

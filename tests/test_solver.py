@@ -36,7 +36,7 @@ def test_run_phase_bipartite_two_steps():
     # n - r - s = -1 (certificate value 1 forces r + s = 3)
     t1 = LaurentMatrix.from_constant(P, [[1, 0], [0, 0]], 0)
     t2 = LaurentMatrix.from_constant(P, [[0, 0], [0, 1]], -1)
-    pen = LaurentPencil(P, 2, 2, (t1, t2))
+    pen = LaurentPencil.from_terms(P, 2, (t1, t2))
     out, dstar, iters = run_phase(pen, 2, SolveOptions(seed=0))
     assert iters == 2
     assert dstar == 1
@@ -203,7 +203,7 @@ def test_phase_raises_at_its_bound(monkeypatch, scaling):
     n, m, cmax = inst.n, inst.m, max(normalize_costs(inst.costs)[0])
     calls = []
 
-    def stuck(pencil, seed, retries=None):
+    def stuck(pencil, seed):
         calls.append(seed)
         ident = FieldMatrix.identity(P, pencil.n)
         return Certificate(ident, ident, 0, 0, 2 * pencil.n)
