@@ -79,8 +79,14 @@ def _dtype_for(p: int):
 
 
 def as_residues(data, p: int) -> np.ndarray:
-    """Coerce nested sequences / arrays of any shape to a reduced residue array mod p."""
-    arr = np.asarray(data)
+    """Coerce nested sequences / arrays of any shape to a reduced residue array mod p.
+
+    A ragged nesting raises :class:`DimensionMismatchError`.
+    """
+    try:
+        arr = np.asarray(data)
+    except ValueError as exc:  # numpy refuses an inhomogeneous shape
+        raise DimensionMismatchError(f"residue data is ragged: {exc}") from exc
     if arr.dtype == object or p > _INT64_SAFE_MAX:
         return np.asarray(np.vectorize(int, otypes=[object])(arr) % p, dtype=_dtype_for(p))
     return np.asarray(arr, dtype=np.int64) % p

@@ -13,6 +13,12 @@ the sequence escapes the image for every sampled max-rank point the
 commutative and noncommutative ranks (probably) differ and
 :class:`NcRankGapError` is raised.
 
+Only the live terms, those with a nonzero B_k, take part: the substitution
+and the Wong sequence run on them alone.  The random point is still drawn
+over all m terms and then restricted to the live ones, so B, every subspace
+and every certificate are those of the full pencil (a zero B_k adds only
+zero columns B_k u, and the reduced-echelon column space ignores them).
+
 Every certificate is verified before it is returned.  Its zero block
 S[:r] B_k T[:, n-s:] is checked exactly as the first r rows of S times the
 columns B_k u (u spanning T[:, n-s:]) that the last Wong step already
@@ -53,12 +59,11 @@ class ConstPencil:
     stack: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.stack)
+        arr = as_residues(self.stack, self.p)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise DimensionMismatchError(f"pencil stack must be (m, n, n), got {arr.shape}")
         if arr.shape[0] < 1:
             raise DimensionMismatchError("pencil needs at least one term")
-        arr = as_residues(arr, self.p)
         arr.flags.writeable = False
         object.__setattr__(self, "stack", arr)
 
@@ -171,14 +176,22 @@ def solve_R(pencil: ConstPencil, seed: int) -> Certificate:
     to the degenerate certificate (I, I, 0, n).  Raises
     :class:`NcRankGapError` after 3n samples without a trapped Wong
     sequence.
+
+    Substitution and the Wong sequence run on the live (nonzero) terms
+    only; each sample still draws a full-length point over all m terms and
+    keeps its live entries, so the random stream and the certificate are
+    those of the whole pencil.
     """
     p, n, m = pencil.p, pencil.n, pencil.m
+    live = np.flatnonzero(pencil.stack.any(axis=(1, 2)))
+    if len(live) < m:
+        pencil = ConstPencil._wrap(p, pencil.stack[live])
     rng = np.random.default_rng(seed)
     ident = FieldMatrix.identity(p, n)
     best_rank = -1
     for _ in range(3 * n):
         lam = rng.integers(0, p, size=m)
-        B = pencil.substitute(lam)
+        B = pencil.substitute(lam[live])
         rank = mod_rank(B, p)
         if rank == n:
             return Certificate(ident, ident, 0, n, n)

@@ -7,8 +7,11 @@ expansion coefficient cannot vanish modulo all of them at once.  The primes
 are taken downward from 2**31 - 1 until their exact product reaches 2**ell
 > L, about log2 L / 31 of them (the standard multi-modular choice, von zur
 Gathen & Gerhard, Modern Computer Algebra, ch. 5).  A prime whose solve
-raises a sampling or precision error is skipped with a recorded reason; a
-skip can only lose a lower bound, never inflate the maximum.
+raises a sampling or precision error is skipped with a recorded reason.  A
+skip never inflates the maximum, but it leaves the solved primes' product
+short of 2**ell, so the walk goes on downward past the budget until the
+solved product reaches 2**ell again; once as many primes have been skipped
+as the budget holds, :class:`AllPrimesFailedError` is raised.
 """
 
 from __future__ import annotations
@@ -64,13 +67,22 @@ class PrimeBudget:
 def prime_budget(n: int, entry_bound: int) -> PrimeBudget:
     d = max(1, n - 1)
     ell = max(1, bound_log2(n, entry_bound))
-    primes, product, q = [], 1, 2**31 - 1
-    while product.bit_length() <= ell:
-        if is_prime(q):
-            primes.append(q)
-            product *= q
-        q -= 2
+    primes, product = [], 1
+    for q in _word_primes():
+        if product.bit_length() > ell:
+            break
+        primes.append(q)
+        product *= q
     return PrimeBudget(d, ell, tuple(primes))
+
+
+def _word_primes():
+    """Every odd prime below 2**31, descending."""
+    q = 2**31 - 1
+    while q > 2:
+        if is_prime(q):
+            yield q
+        q -= 2
 
 
 @dataclass(frozen=True)
@@ -96,11 +108,20 @@ def solve_rational(inst: IntegerInstance, opts: SolveOptions | None = None
 
 def solve_rational_report(inst: IntegerInstance, opts: SolveOptions | None = None
                           ) -> RationalReport:
+    """Solve modulo the budget's primes, and below them while skips leave the
+    solved primes' product short of 2**ell; the value is the maximum."""
     opts = opts or SolveOptions()
     budget = prime_budget(inst.n, inst.entry_bound)
     outcomes: list[PrimeOutcome] = []
     best: int | MinusInfinity | None = None
-    for idx, p in enumerate(budget.primes):
+    solved_product, skipped = 1, 0
+    for idx, p in enumerate(_word_primes()):
+        if solved_product.bit_length() > budget.ell:
+            break
+        if skipped == len(budget.primes):
+            raise AllPrimesFailedError(
+                f"{skipped} primes skipped, as many as the budget holds: " +
+                "; ".join(f"p={o.prime} ({o.reason})" for o in outcomes if o.skipped))
         seed = (opts.seed * 0x9E3779B1 + idx * 0x85EBCA77 + p) % (2**63)
         per_prime = replace(opts, seed=seed)
         try:
@@ -110,12 +131,10 @@ def solve_rational_report(inst: IntegerInstance, opts: SolveOptions | None = Non
                 IterationBoundExceededError) as exc:
             outcomes.append(PrimeOutcome(p, None, skipped=True,
                                          reason=f"{type(exc).__name__}: {exc}"))
+            skipped += 1
             continue
         outcomes.append(PrimeOutcome(p, value))
+        solved_product *= p
         if best is None or value > best:
             best = value
-    if best is None:
-        raise AllPrimesFailedError(
-            "every prime in the budget was skipped: " +
-            "; ".join(f"p={o.prime} ({o.reason})" for o in outcomes))
     return RationalReport(best, budget, tuple(outcomes))

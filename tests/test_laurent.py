@@ -247,3 +247,9 @@ def test_degrees_that_would_leave_int64_raise_instead_of_wrapping():
     with pytest.raises(SizeLimitError):
         solve(huge, SolveOptions(scaling_enabled=False, truncation_enabled=False))
     assert solve(huge, SolveOptions(seed=0)).value == 2**65
+
+
+@pytest.mark.parametrize("p", [5, P, 2**61 - 1])
+def test_from_constants_refuses_a_ragged_stack(p):
+    with pytest.raises(DimensionMismatchError):
+        LaurentPencil.from_constants(p, [np.eye(2, dtype=int), np.eye(3, dtype=int)])

@@ -1,10 +1,14 @@
+import sys
+
 import numpy as np
 import pytest
 
-from degdet import (DEFAULT_PRIME, ConstPencil, FieldMatrix, build_blowup,
-                    is_nc_nonsingular, solve_R)
-from degdet.errors import NcRankGapError
-from degdet.ncrank import substituted_blowup
+import degdet.field_linalg as field_linalg
+from degdet import (DEFAULT_PRIME, ConstPencil, FieldMatrix, LaurentPencil, SolveOptions,
+                    build_blowup, gen_bipartite, is_nc_nonsingular, leading, solve, solve_R)
+from degdet.errors import DimensionMismatchError, NcRankGapError
+from degdet.field_linalg import mod_rank
+from degdet.ncrank import _wong_certificate, substituted_blowup
 
 from conftest import brute_rank_mod, unit_matrix
 
@@ -174,3 +178,74 @@ def test_const_pencil_reduces_an_int64_stack_at_a_62_bit_prime():
     cert = solve_R(pen, seed=0)
     assert cert.value == 1
     assert cert.check(pen)
+
+
+@pytest.mark.parametrize("p", [5, P, 2**61 - 1])
+def test_const_pencil_refuses_a_ragged_stack(p):
+    with pytest.raises(DimensionMismatchError):
+        ConstPencil(p, [np.eye(2, dtype=int), np.eye(3, dtype=int)])
+
+
+def _interleaved(p, seed):
+    """Three terms u_k v of nc-rank 2 with zero slabs between them, and their live part."""
+    rng = np.random.default_rng(seed)
+    n = 4
+    v = rng.integers(0, p, size=(2, n)).astype(object)
+    live = [rng.integers(0, p, size=(n, 2)).astype(object) @ v % p for _ in range(3)]
+    zero = np.zeros((n, n), dtype=int)
+    full = ConstPencil(p, np.stack([zero, live[0], zero, zero, live[1], live[2], zero]))
+    return full, ConstPencil(p, np.stack(live)), [1, 4, 5]
+
+
+@pytest.mark.parametrize("p", [5, P, 2**61 - 1])
+def test_wong_certificate_ignores_zero_slabs(p):
+    full, part, live = _interleaved(p, seed=p % 97)
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        lam = rng.integers(0, p, size=full.m)
+        B = full.substitute(lam)
+        assert np.array_equal(B, part.substitute(lam[live]))
+        rank = mod_rank(B, p)
+        a, b = _wong_certificate(full, B, rank), _wong_certificate(part, B, rank)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert (a.S, a.T, a.r, a.s, a.value) == (b.S, b.T, b.r, b.s, b.value)
+
+
+@pytest.mark.parametrize("p", [5, P, 2**61 - 1])
+def test_solve_r_on_live_terms_certifies_the_full_pencil(p):
+    full, part, _ = _interleaved(p, seed=p % 89)
+    cert = solve_R(full, seed=3)
+    assert (cert.value, cert.r + cert.s) == (2, 6)
+    assert cert.check(full) and cert.check(part)
+
+
+@pytest.mark.parametrize("p", [5, P, 2**61 - 1])
+def test_solve_r_all_zero_leading_pencil_has_value_zero(p):
+    # no term has a degree-0 slab, so no term is live
+    mats = np.random.default_rng(12).integers(1, 5, size=(3, 4, 4))
+    pen = leading(LaurentPencil.from_constants(p, mats, degrees=[-1, -2, -1]))
+    assert pen.stack.shape == (3, 4, 4) and not pen.stack.any()
+    cert = solve_R(pen, seed=0)
+    assert (cert.value, cert.r, cert.s) == (0, 4, 4)
+    assert cert.check(pen)
+
+
+def test_bipartite_n16_solve_stays_under_three_million_matmul_macs(monkeypatch):
+    # Every mod_matmul, by any module's name for it, counted from the operand
+    # shapes.  Substituting and running Wong on all m = 256 terms of the
+    # leading pencil instead of its live ones costs about 30.5 M here.
+    real, macs = field_linalg.mod_matmul, []
+
+    def counted(a, b, p):
+        out = real(a, b, p)
+        macs.append(int(np.prod(out.shape, dtype=np.int64)) * a.shape[-1])
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("degdet") and getattr(module, "mod_matmul", None) is real:
+            monkeypatch.setattr(module, "mod_matmul", counted)
+    costs = np.random.default_rng(116).integers(-10**6, 10**6, (16, 16))
+    report = solve(gen_bipartite(costs.tolist()), SolveOptions(seed=0))
+    assert (report.value, report.oracle_calls) == (13260670, 54)
+    assert sum(macs) <= 3_000_000, sum(macs)

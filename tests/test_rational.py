@@ -155,6 +155,50 @@ def test_all_primes_failed(monkeypatch):
         rational.solve_rational(inst)
 
 
+def _skip_where(monkeypatch, fails):
+    """Patch the per-prime solve to raise on every prime for which fails(index, p)."""
+    import degdet.rational as rational
+
+    real, calls = rational.solve, []
+
+    def patched(reduced, opts):
+        calls.append(reduced.p)
+        if fails(len(calls) - 1, reduced.p):
+            raise PrecisionUnsupportedError("forced skip")
+        return real(reduced, opts)
+
+    monkeypatch.setattr(rational, "solve", patched)
+    return calls
+
+
+def test_a_skipped_prime_is_replaced_below_the_budget(monkeypatch):
+    inst = gen_integer(4, 2, seed=3, entry_bound=2, cost_range=(-20, 20))
+    budget = prime_budget(inst.n, inst.entry_bound)
+    assert len(budget.primes) == 4
+    expected = solve_rational(inst, SolveOptions(seed=1))
+    _skip_where(monkeypatch, lambda idx, p: p == budget.primes[0])
+    report = solve_rational_report(inst, SolveOptions(seed=1))
+    solved = [o.prime for o in report.outcomes if not o.skipped]
+    assert [o.prime for o in report.outcomes if o.skipped] == [budget.primes[0]]
+    assert math.prod(solved) >= 2**budget.ell
+    assert solved[:3] == list(budget.primes[1:])
+    assert all(is_prime(q) and q < budget.primes[-1] for q in solved[3:])
+    assert report.value == expected
+
+
+@pytest.mark.parametrize("fails", [lambda idx, p: idx % 2 == 0, lambda idx, p: idx > 0],
+                         ids=["every-other-prime", "all-but-the-first"])
+def test_as_many_skips_as_the_budget_holds_raise(monkeypatch, fails):
+    from degdet.errors import AllPrimesFailedError
+
+    inst = gen_integer(4, 2, seed=3, entry_bound=2, cost_range=(-20, 20))
+    budget = prime_budget(inst.n, inst.entry_bound)
+    calls = _skip_where(monkeypatch, fails)
+    with pytest.raises(AllPrimesFailedError):
+        solve_rational_report(inst)
+    assert sum(fails(idx, p) for idx, p in enumerate(calls)) == len(budget.primes)
+
+
 @pytest.mark.parametrize("n, D", [(n, D) for n in range(1, 5) for D in range(1, 5)]
                          + [(5, 10), (8, 1000)])
 def test_prime_budget_word_size_primes(n, D):
