@@ -123,10 +123,9 @@ def _load_instance(path: Path, prime: int | None):
 def _reduce_to(inst, p: int):
     """The field or partitioned instance with its residues reduced modulo p."""
     if isinstance(inst, Instance):
-        return Instance.from_arrays(p, [m.data for m in inst.mats], inst.costs, inst.meta)
+        return Instance.from_arrays(p, inst.stack, inst.costs, inst.meta)
     if isinstance(inst, PartitionedInstance):
-        blocks = tuple(tuple(FieldMatrix(p, blk.data) for blk in row) for row in inst.blocks)
-        return PartitionedInstance(PrimeModulus(p), inst.n, blocks, inst.costs, inst.meta)
+        return PartitionedInstance(PrimeModulus(p), inst.blocks, inst.costs, inst.meta)
     raise UsageError("--prime does not apply to an integer instance: "
                      "the rational pipeline picks its own primes")
 
@@ -168,12 +167,17 @@ def _solve_any(inst, opts: SolveOptions) -> dict:
     return body
 
 
-def _oracle_names(spec: str) -> list[str]:
-    """The names of a comma list, empty entries skipped; an unknown one is a usage error."""
+def _oracle_names(spec: str, inst) -> list[str]:
+    """The names of a comma list, empty entries skipped; an unknown name, or one
+    that cannot run on this kind of file, is a usage error."""
     names = [name.strip() for name in spec.split(",") if name.strip()]
     for name in names:
         if name not in ORACLES:
             raise UsageError(f"unknown oracle {name!r}; choose from {', '.join(ORACLES)}")
+    if "enumerate2x2" in names and not isinstance(inst, PartitionedInstance):
+        raise UsageError("enumerate2x2 needs a partitioned instance file")
+    if "hungarian" in names and isinstance(inst, PartitionedInstance):
+        raise UsageError("hungarian needs a bipartite field or integer instance file")
     return names
 
 
@@ -191,8 +195,6 @@ def _oracle_value(name: str, inst, seed: int):
     if name == "blowup":
         return oracles.degdet_blowup(_as_field_instance(inst), seed=seed)
     if name == "enumerate2x2":
-        if not isinstance(inst, PartitionedInstance):
-            raise DegDetError("enumerate2x2 needs a partitioned instance file")
         value, _ = partitioned.enumerate_perfect(inst, seed=seed)
         return value
     field_inst = _as_field_instance(inst)  # "newton", the one name left
@@ -203,17 +205,13 @@ def _as_field_instance(inst) -> Instance:
     return partitioned.to_instance(inst) if isinstance(inst, PartitionedInstance) else inst
 
 
-def _bipartite_weights_of(inst) -> list:
+def _bipartite_weights_of(inst: Instance) -> list:
     """Recover the weight grid of a bipartite-shaped instance from its terms."""
-    if not isinstance(inst, Instance):
-        raise DegDetError("hungarian needs a bipartite field instance")
-    n = inst.n
-    grid: list[list[int | None]] = [[None] * n for _ in range(n)]
-    for mat, cost in zip(inst.mats, inst.costs):
-        pos = np.argwhere(np.asarray(mat.data) != 0)
-        if pos.shape[0] != 1 or int(mat.data[pos[0][0], pos[0][1]]) != 1:
-            raise DegDetError("instance is not bipartite-shaped (one unit entry per term)")
-        i, j = int(pos[0][0]), int(pos[0][1])
+    term, rows, cols = np.nonzero(inst.stack)
+    if not np.array_equal(term, np.arange(inst.m)) or np.any(inst.stack[term, rows, cols] != 1):
+        raise DegDetError("instance is not bipartite-shaped (one unit entry per term)")
+    grid: list[list[int | None]] = [[None] * inst.n for _ in range(inst.n)]
+    for i, j, cost in zip(rows.tolist(), cols.tolist(), inst.costs):
         if grid[i][j] is not None:
             raise DegDetError("instance is not bipartite-shaped (duplicate cell)")
         grid[i][j] = cost
@@ -222,8 +220,8 @@ def _bipartite_weights_of(inst) -> list:
 
 def cmd_run(args) -> int:
     """`solve`, and for `verify` the oracle comparisons too; --out gets the report."""
-    names = _oracle_names(args.oracle) if args.command == "verify" else []
     inst, digest = _load_instance(args.instance, args.prime)
+    names = _oracle_names(args.oracle, inst) if args.command == "verify" else []
     report = {"command": args.command, "instance": str(args.instance), "digest": digest,
               "seed": args.seed}
     code = EXIT_OK

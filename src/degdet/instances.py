@@ -1,6 +1,11 @@
 """Problem instances, generators for the supported problem classes, and
 bit-exact JSON serialization.
 
+Each instance holds its coefficients as one read-only array: `Instance.stack`
+(m x n x n residues), `IntegerInstance.mats` (m x n x n Python ints) and
+`PartitionedInstance.blocks` (n x n x 2 x 2 residues, `blocks[i, j]` = A_ij).
+Equality compares them by value.
+
 The file format is JSON with explicit integer arrays: `version`, `n`, `m`,
 `mats` (m x n x n), `costs`, optional `prime`, and a free-form `meta` object.
 Integer instances (for the multi-prime rational pipeline) simply omit
@@ -12,139 +17,141 @@ are encoded by omission, never by a zero cost: cost 0 is a legal weight.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, FormatError, NonPrimeError
-from .field_linalg import DEFAULT_PRIME, FieldMatrix, PrimeModulus, mod_matmul
+from .field_linalg import DEFAULT_PRIME, FieldMatrix, PrimeModulus, as_residues, mod_matmul
 
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A costed symbolic matrix sum_k A_k x_k t^{c_k} over GF(p)."""
+class _ArrayFields:
+    """Base of the instance dataclasses: one read-only array, compared by value."""
+
+    def _store(self, name: str, arr: np.ndarray, costs: tuple) -> None:
+        arr.flags.writeable = False
+        object.__setattr__(self, name, arr)
+        object.__setattr__(self, "costs", costs)
+        object.__setattr__(self, "meta", dict(self.meta))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in pairs)
+
+
+@dataclass(frozen=True, eq=False)
+class Instance(_ArrayFields):
+    """A costed symbolic matrix sum_k A_k x_k t^{c_k} over GF(p); `stack`
+    holds A_1..A_m reduced once, and n and m are read off its shape."""
 
     modulus: PrimeModulus
-    n: int
-    m: int
-    mats: tuple[FieldMatrix, ...]
+    stack: np.ndarray
     costs: tuple[int, ...]
     meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise DimensionMismatchError("need n >= 1 and m >= 1")
-        if len(self.mats) != self.m or len(self.costs) != self.m:
-            raise DimensionMismatchError("mats/costs length must equal m")
-        for mat in self.mats:
-            if mat.p != self.modulus.p or mat.data.shape != (self.n, self.n):
-                raise DimensionMismatchError("coefficient matrices must be n x n over the modulus")
-        object.__setattr__(self, "mats", tuple(self.mats))
-        object.__setattr__(self, "costs", tuple(int(c) for c in self.costs))
-        object.__setattr__(self, "meta", dict(self.meta))
+        arr = as_residues(self.stack, self.p)
+        if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or 0 in arr.shape \
+                or len(self.costs) != arr.shape[0]:
+            raise DimensionMismatchError(f"need m >= 1 n x n matrices and m costs, got {arr.shape}")
+        self._store("stack", arr, tuple(int(c) for c in self.costs))
 
     @property
     def p(self) -> int:
         return self.modulus.p
 
+    @property
+    def m(self) -> int:
+        return self.stack.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.stack.shape[1]
+
+    @property
+    def mats(self) -> tuple[FieldMatrix, ...]:
+        """A_1..A_m as one FieldMatrix per term, built on each read."""
+        return tuple(FieldMatrix(self.p, mat) for mat in self.stack)
+
     @classmethod
     def from_arrays(cls, p: int, mats: Sequence, costs: Sequence[int],
                     meta: Mapping | None = None) -> "Instance":
-        ms = tuple(FieldMatrix(p, m) for m in mats)
-        if not ms:
-            raise DimensionMismatchError("need at least one coefficient matrix")
-        n = ms[0].rows
-        return cls(PrimeModulus(p), n, len(ms), ms, tuple(costs), meta or {})
-
-    def stack(self) -> np.ndarray:
-        return np.stack([m.data for m in self.mats])
+        return cls(PrimeModulus(p), mats, costs, meta or {})
 
 
-@dataclass(frozen=True)
-class IntegerInstance:
-    """An instance over the integers, destined for per-prime reduction."""
+@dataclass(frozen=True, eq=False)
+class IntegerInstance(_ArrayFields):
+    """An instance over the integers, destined for per-prime reduction; `mats`
+    is one (m, n, n) object array of Python ints."""
 
     n: int
     m: int
-    mats: tuple[np.ndarray, ...]
+    mats: np.ndarray
     costs: tuple[int, ...]
     meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise DimensionMismatchError("need n >= 1 and m >= 1")
-        if len(self.mats) != self.m or len(self.costs) != self.m:
-            raise DimensionMismatchError("mats/costs length must equal m")
-        fixed = []
-        for mat in self.mats:
-            arr = np.array([[int(x) for x in row] for row in np.asarray(mat)], dtype=object)
-            if arr.shape != (self.n, self.n):
-                raise DimensionMismatchError("integer matrices must be n x n")
-            arr.flags.writeable = False
-            fixed.append(arr)
-        object.__setattr__(self, "mats", tuple(fixed))
-        object.__setattr__(self, "costs", tuple(int(c) for c in self.costs))
-        object.__setattr__(self, "meta", dict(self.meta))
+        try:
+            arr = np.asarray(self.mats)
+        except ValueError as exc:  # numpy refuses an inhomogeneous shape
+            raise DimensionMismatchError(f"integer matrices are ragged: {exc}") from exc
+        if min(self.n, self.m) < 1 or arr.shape != (self.m, self.n, self.n) \
+                or len(self.costs) != self.m:
+            raise DimensionMismatchError("need m >= 1 integer n x n matrices, n >= 1, and m costs")
+        self._store("mats", np.vectorize(int, otypes=[object])(arr),
+                    tuple(int(c) for c in self.costs))
 
     @property
     def entry_bound(self) -> int:
         """Largest |entry|, floored at 1; the larger of this and any recorded
         meta bound drives the prime budget."""
-        recomputed = max((abs(int(x)) for mat in self.mats for x in mat.ravel()), default=0)
         recorded = int(self.meta.get("entry_bound", 0))
-        return max(1, recomputed, recorded)
+        return max(1, int(abs(self.mats).max()), recorded)
 
     def reduce_mod(self, p: int) -> Instance:
         return Instance.from_arrays(p, self.mats, self.costs,
                                     {**self.meta, "reduced_mod": p})
 
 
-@dataclass(frozen=True)
-class PartitionedInstance:
-    """n x n grid of 2x2 blocks A_ij with one cost per block position."""
+@dataclass(frozen=True, eq=False)
+class PartitionedInstance(_ArrayFields):
+    """n x n grid of 2x2 blocks A_ij with one cost per block position; `blocks`
+    holds them as one (n, n, 2, 2) array, and n is read off its shape."""
 
     modulus: PrimeModulus
-    n: int
-    blocks: tuple[tuple[FieldMatrix, ...], ...]
+    blocks: np.ndarray
     costs: tuple[tuple[int, ...], ...]
     meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DimensionMismatchError("need n >= 1")
-        if len(self.blocks) != self.n or len(self.costs) != self.n:
-            raise DimensionMismatchError("blocks/costs must be n x n grids")
-        rows = []
-        for i in range(self.n):
-            if len(self.blocks[i]) != self.n or len(self.costs[i]) != self.n:
-                raise DimensionMismatchError("blocks/costs must be n x n grids")
-            for blk in self.blocks[i]:
-                if blk.p != self.modulus.p or blk.data.shape != (2, 2):
-                    raise DimensionMismatchError("blocks must be 2 x 2 over the modulus")
-            rows.append(tuple(self.blocks[i]))
-        object.__setattr__(self, "blocks", tuple(rows))
-        object.__setattr__(self, "costs", tuple(tuple(int(c) for c in row) for row in self.costs))
-        object.__setattr__(self, "meta", dict(self.meta))
+        arr = as_residues(self.blocks, self.p)
+        n = arr.shape[0] if arr.ndim == 4 else 0
+        if n < 1 or arr.shape != (n, n, 2, 2) or len(self.costs) != n \
+                or any(len(row) != n for row in self.costs):
+            raise DimensionMismatchError(f"need (n, n, 2, 2) blocks, n x n costs; got {arr.shape}")
+        self._store("blocks", arr, tuple(tuple(int(c) for c in row) for row in self.costs))
 
     @property
     def p(self) -> int:
         return self.modulus.p
 
+    @property
+    def n(self) -> int:
+        return self.blocks.shape[0]
+
     def assembled(self) -> np.ndarray:
         """The full 2n x 2n matrix with every block in place."""
-        out = np.zeros((2 * self.n, 2 * self.n), dtype=np.int64)
-        for i in range(self.n):
-            for j in range(self.n):
-                out[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = self.blocks[i][j].data
-        return out
+        return self.blocks.transpose(0, 2, 1, 3).reshape(2 * self.n, 2 * self.n)
 
     def edges(self) -> list[tuple[int, int]]:
         """Positions of nonzero blocks, row-major; the term order of to_instance."""
-        return [(i, j) for i in range(self.n) for j in range(self.n)
-                if not self.blocks[i][j].is_zero()]
+        return list(map(tuple, np.argwhere(self.blocks.any(axis=(2, 3))).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -158,24 +165,19 @@ def gen_bipartite(weights: Sequence[Sequence[int | None]], p: int = DEFAULT_PRIM
     `weights` is an n x n grid; None marks an absent edge.
     """
     n = len(weights)
-    mats, costs = [], []
-    for i in range(n):
-        if len(weights[i]) != n:
-            raise DimensionMismatchError("weight grid must be square")
-        for j in range(n):
-            w = weights[i][j]
-            if w is None:
-                continue
-            e = np.zeros((n, n), dtype=np.int64)
-            e[i, j] = 1
-            mats.append(e)
-            costs.append(int(w))
-    if not mats:
+    if any(len(row) != n for row in weights):
+        raise DimensionMismatchError("weight grid must be square")
+    cells = [(i, j, int(w)) for i, row in enumerate(weights)
+             for j, w in enumerate(row) if w is not None]
+    if not cells:
         raise DimensionMismatchError("bipartite instance needs at least one present cell")
+    rows, cols, costs = zip(*cells)
+    stack = np.zeros((len(cells), n, n), dtype=np.int64)
+    stack[np.arange(len(cells)), rows, cols] = 1
     base = {"generator": "bipartite",
             "weights": [[None if w is None else int(w) for w in row] for row in weights]}
     base.update(meta or {})
-    return Instance.from_arrays(p, mats, costs, base)
+    return Instance.from_arrays(p, stack, costs, base)
 
 
 def random_bipartite_weights(n: int, seed: int, cost_range: tuple[int, int] = (-10, 10),
@@ -252,18 +254,16 @@ def gen_2x2(n: int, seed: int, rank_profile: Sequence[Sequence[int]],
     """Partitioned instance whose block (i, j) has the prescribed rank in {0, 1, 2}."""
     rng = np.random.default_rng(seed)
     lo, hi = cost_range
-    blocks, costs = [], []
+    blocks = np.zeros((n, n, 2, 2), dtype=object)
+    costs = [[0] * n for _ in range(n)]
     for i in range(n):
-        brow, crow = [], []
         for j in range(n):
             rank = int(rank_profile[i][j])
             if rank not in (0, 1, 2):
                 raise DimensionMismatchError("rank profile entries must be 0, 1, or 2")
-            brow.append(FieldMatrix(p, _random_block_of_rank(rank, rng, p)))
-            crow.append(int(rng.integers(lo, hi + 1)))
-        blocks.append(tuple(brow))
-        costs.append(tuple(crow))
-    return PartitionedInstance(PrimeModulus(p), n, tuple(blocks), tuple(costs),
+            blocks[i, j] = _random_block_of_rank(rank, rng, p)
+            costs[i][j] = int(rng.integers(lo, hi + 1))
+    return PartitionedInstance(PrimeModulus(p), blocks, costs,
                                {"generator": "partitioned2x2", "seed": seed})
 
 
@@ -285,11 +285,11 @@ def save(inst: Instance | IntegerInstance | PartitionedInstance) -> bytes:
     """Canonical JSON bytes; load(save(x)) == x exactly."""
     if isinstance(inst, Instance):
         doc = {"version": SCHEMA_VERSION, "prime": inst.p, "n": inst.n, "m": inst.m,
-               "mats": [mat.data.tolist() for mat in inst.mats],
+               "mats": inst.stack.tolist(),
                "costs": list(inst.costs), "meta": _meta_jsonable(inst.meta)}
     elif isinstance(inst, IntegerInstance):
         doc = {"version": SCHEMA_VERSION, "n": inst.n, "m": inst.m,
-               "mats": [mat.tolist() for mat in inst.mats],
+               "mats": inst.mats.tolist(),
                "costs": list(inst.costs), "meta": _meta_jsonable(inst.meta)}
     elif isinstance(inst, PartitionedInstance):
         doc = {"version": SCHEMA_VERSION, "prime": inst.p, "n": inst.n,
@@ -350,13 +350,13 @@ def load(data: bytes) -> Instance | IntegerInstance | PartitionedInstance:
         if "prime" in doc:
             p = _ints([doc["prime"]], "prime")[0]
             PrimeModulus(p)  # raises NonPrimeError on composite moduli
-            inst = Instance.from_arrays(p, [_int_array(m, "mats", exact) for m in doc["mats"]],
+            inst = Instance.from_arrays(p, _int_array(doc["mats"], "mats", exact),
                                         _ints(doc["costs"], "costs"), doc.get("meta", {}))
             _check_header(doc, n=inst.n, m=inst.m)
             return inst
         n, m = _ints([doc["n"], doc["m"]], "n and m")
-        inst = IntegerInstance(n, m, tuple(_int_array(mat, "mats", exact) for mat in doc["mats"]),
-                               tuple(_ints(doc["costs"], "costs")), doc.get("meta", {}))
+        inst = IntegerInstance(n, m, _int_array(doc["mats"], "mats", exact),
+                               _ints(doc["costs"], "costs"), doc.get("meta", {}))
         _ints([inst.meta.get("entry_bound", 0)], "meta.entry_bound")  # read by prime_budget
         return inst
     except NonPrimeError:
@@ -373,7 +373,6 @@ def _load_partitioned(doc: dict, exact: bool) -> PartitionedInstance:
         raise FormatError("partitioned blocks must form a square even-sized matrix")
     n = full.shape[0] // 2
     _check_header(doc, n=n)
-    blocks = tuple(tuple(FieldMatrix(p, full[2 * i: 2 * i + 2, 2 * j: 2 * j + 2])
-                         for j in range(n)) for i in range(n))
-    costs = tuple(tuple(_ints(row, "block_costs")) for row in doc["block_costs"])
-    return PartitionedInstance(PrimeModulus(p), n, blocks, costs, doc.get("meta", {}))
+    blocks = full.reshape(n, 2, n, 2).transpose(0, 2, 1, 3)
+    costs = [_ints(row, "block_costs") for row in doc["block_costs"]]
+    return PartitionedInstance(PrimeModulus(p), blocks, costs, doc.get("meta", {}))

@@ -69,7 +69,8 @@ class ConstPencil:
 
     @classmethod
     def _wrap(cls, p: int, stack: np.ndarray) -> "ConstPencil":
-        # internal fast path: a fresh (m, n, n) stack, already reduced mod p
+        # internal fast path: an (m, n, n) stack, already reduced mod p, that
+        # nobody writes to (a fresh one, or an Instance's read-only stack)
         stack.flags.writeable = False
         obj = object.__new__(cls)
         object.__setattr__(obj, "p", p)

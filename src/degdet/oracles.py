@@ -140,7 +140,7 @@ def degdet_commutative(inst: Instance, seed: int = 0) -> int | MinusInfinity:
             "this oracle is meant for desk-scale costs")
     rng = np.random.default_rng(seed)
     g = _geometric_base(p, npts, rng)
-    stack = inst.stack()
+    stack = inst.stack
     if stack.dtype == object:
         raise PrecisionUnsupportedError("interpolation oracle supports int64 moduli only")
     ratios = np.array([pow(g, c, p) for c in cshift], dtype=np.int64)
@@ -174,7 +174,7 @@ def degdet_blowup(inst: Instance, seed: int = 0) -> int | MinusInfinity:
     d = max(1, n - 1)
     if d == 1:
         return degdet_commutative(inst, seed=seed)
-    blow = build_blowup(ConstPencil(inst.p, inst.stack()), d)
+    blow = build_blowup(ConstPencil._wrap(inst.p, inst.stack), d)
     costs = [c for c in inst.costs for _ in range(d * d)]
     blow_inst = Instance.from_arrays(inst.p, blow.stack, costs,
                                      {"blowup_of": dict(inst.meta), "d": d})
@@ -279,7 +279,7 @@ def newton_small(inst: Instance) -> NewtonSupport:
     p, n, m = inst.p, inst.n, inst.m
     if n > NEWTON_SIZE_LIMIT:
         raise SizeLimitError(f"newton_small is capped at n={NEWTON_SIZE_LIMIT}, got {n}")
-    stack = inst.stack()
+    stack = inst.stack
     entries = [[{k: int(stack[k, i, j]) for k in range(m) if stack[k, i, j]}
                 for j in range(n)] for i in range(n)]
     total: dict[tuple[int, ...], int] = {}

@@ -87,13 +87,11 @@ def to_instance(part: PartitionedInstance) -> Instance:
     edges = part.edges()
     if not edges:
         raise DimensionMismatchError("partitioned instance has no nonzero block")
-    mats, costs = [], []
-    for (i, j) in edges:
-        big = np.zeros((n2, n2), dtype=np.int64)
-        big[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = part.blocks[i][j].data
-        mats.append(big)
-        costs.append(part.costs[i][j])
-    return Instance.from_arrays(part.p, mats, costs,
+    stack = np.zeros((len(edges), n2, n2), dtype=part.blocks.dtype)
+    for k, (i, j) in enumerate(edges):
+        stack[k, 2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = part.blocks[i, j]
+    costs = [part.costs[i][j] for (i, j) in edges]
+    return Instance.from_arrays(part.p, stack, costs,
                                 {"generator": "partitioned2x2-embedded",
                                  "edges": [list(e) for e in edges]})
 
@@ -111,7 +109,7 @@ def is_consistent(matching: TwoMatching, part: PartitionedInstance, seed: int = 
     acc = np.zeros((2 * part.n, 2 * part.n), dtype=np.int64)
     for (i, j) in matching.support():
         lam = int(rng.integers(1, part.p))
-        acc[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = part.blocks[i][j].data * lam % part.p
+        acc[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = part.blocks[i, j] * lam % part.p
     return mod_rank(acc, part.p) == matching.size()
 
 

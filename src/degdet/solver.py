@@ -171,10 +171,11 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
     to come from the blow-up fallback.  Tests read it (the golden records);
     the package itself only needs :func:`solve`.
 
-    The certificate of the constant pencil decides singularity.  With scaling
-    the first phase starts on that same pencil, so the certificate also
-    answers the first phase's first oracle call; without scaling it is an
-    extra call, not counted in `oracle_calls`.
+    The certificate of the constant pencil decides singularity; that pencil
+    is the instance's read-only residue stack itself, wrapped without a
+    copy.  With scaling the first phase starts on that same pencil, so the
+    certificate also answers the first phase's first oracle call; without
+    scaling it is an extra call, not counted in `oracle_calls`.
     """
     opts = opts or SolveOptions()
     n = inst.n
@@ -188,7 +189,7 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
     pencil = witness = None
     fallback = False
     try:
-        cert = solve_R(ConstPencil(inst.p, inst.stack()), int(rng.integers(0, 2**63)))
+        cert = solve_R(ConstPencil._wrap(inst.p, inst.stack), int(rng.integers(0, 2**63)))
         if cert.value < n:
             value, witness = MINUS_INFINITY, cert
         else:
@@ -226,7 +227,7 @@ def _descend(inst: Instance, shifted: tuple[int, ...], opts: SolveOptions,
         num_doublings, first = 0, None
     scale = 1 << num_doublings
     top = _ceil_div(cmax, scale)
-    pencil = LaurentPencil.from_constants(inst.p, [mat.data for mat in inst.mats],
+    pencil = LaurentPencil.from_constants(inst.p, inst.stack,
                                           [_ceil_div(c, scale) - top for c in shifted])
     dstar = n * top
     for theta in range(num_doublings + 1):

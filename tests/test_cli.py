@@ -298,3 +298,33 @@ def test_solve_reports_a_non_integer_entry_bound_as_a_format_error(capsys, tmp_p
         report = json.loads(out)
         assert code == 1 and report["error"] == "FormatError", bad
         assert "entry_bound" in report["message"]
+
+
+def _refused_before_solving(capsys, monkeypatch, path, oracle):
+    def never(*args):
+        raise AssertionError("solved before the oracles were checked against the file")
+
+    monkeypatch.setattr(cli, "_solve_any", never)
+    code = main(["verify", str(path), "--oracle", oracle])
+    return code, capsys.readouterr()
+
+
+def test_verify_enumerate2x2_on_a_bipartite_file_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    path, _ = gen_file(capsys, tmp_path, "bipartite", "--n", "3", "--seed", "2")
+    code, captured = _refused_before_solving(capsys, monkeypatch, path, "hungarian,enumerate2x2")
+    assert code == 2 and captured.out == ""
+    assert "enumerate2x2 needs a partitioned instance file" in captured.err
+
+
+def test_verify_hungarian_on_a_partitioned_file_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    path, _ = gen_file(capsys, tmp_path, "partitioned2x2", "--n", "2", "--seed", "4")
+    code, captured = _refused_before_solving(capsys, monkeypatch, path, "hungarian")
+    assert code == 2 and captured.out == ""
+    assert "hungarian needs a bipartite field or integer instance file" in captured.err
+
+
+def test_verify_hungarian_on_a_dense_file_is_a_solver_error(capsys, tmp_path):
+    path, _ = gen_file(capsys, tmp_path, "dense", "--n", "3", "--seed", "2")
+    code, out = run_cli(capsys, "verify", str(path), "--oracle", "hungarian")
+    report = json.loads(out)
+    assert code == 1 and "not bipartite-shaped" in report["message"]

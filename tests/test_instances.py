@@ -4,12 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from degdet import (DEFAULT_PRIME, FieldMatrix, Instance, IntegerInstance, MINUS_INFINITY,
+from degdet import (DEFAULT_PRIME, Instance, IntegerInstance, MINUS_INFINITY,
                     PartitionedInstance, PrimeModulus, SolveOptions, degdet_blowup, gen_2x2,
                     gen_bipartite, gen_dense, gen_integer, gen_rank1, hungarian,
                     is_minus_infinity, load, random_bipartite_weights,
                     random_rank_profile, save, solve)
 from degdet.errors import DimensionMismatchError, FormatError, NonPrimeError
+from degdet.field_linalg import mod_rank
 
 P = DEFAULT_PRIME
 
@@ -92,7 +93,7 @@ def test_gen_2x2_respects_rank_profile():
     part = gen_2x2(2, seed=5, rank_profile=profile)
     for i in range(2):
         for j in range(2):
-            assert part.blocks[i][j].rank() == profile[i][j]
+            assert mod_rank(part.blocks[i, j], P) == profile[i][j]
 
 
 def test_generator_determinism():
@@ -189,7 +190,7 @@ def test_instance_validates_shapes():
     with pytest.raises(DimensionMismatchError):
         Instance.from_arrays(P, [np.zeros((2, 3), dtype=int)], [1])
     with pytest.raises(DimensionMismatchError):
-        Instance(PrimeModulus(P), 2, 2, (FieldMatrix.identity(P, 2),), (1, 2))
+        Instance(PrimeModulus(P), np.eye(2, dtype=int)[None], (1, 2))
 
 
 def test_instance_rejects_empty():
@@ -312,7 +313,7 @@ def test_gen_rank1_terms_have_rank_one_at_a_62_bit_prime():
 def test_gen_2x2_respects_rank_profile_at_a_62_bit_prime():
     profile = [[0, 1, 2], [1, 1, 2], [2, 1, 0]]
     part = gen_2x2(3, seed=5, rank_profile=profile, p=P61)
-    assert [[blk.rank() for blk in row] for row in part.blocks] == profile
+    assert [[mod_rank(blk, P61) for blk in row] for row in part.blocks] == profile
 
 
 @pytest.mark.parametrize("inst, changes", [
@@ -324,3 +325,61 @@ def test_gen_2x2_respects_rank_profile_at_a_62_bit_prime():
 def test_load_rejects_a_header_that_disagrees_with_the_arrays(inst, changes):
     with pytest.raises(FormatError):
         load(_tampered(inst, lambda doc: doc.update(changes)))
+
+
+def _one_of_each_kind():
+    return {
+        "field": gen_bipartite([[1, None], [2, 0]]),
+        "integer": gen_integer(3, 4, 1),
+        "partitioned": gen_2x2(2, seed=4, rank_profile=[[2, 1], [0, 2]]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["field", "integer", "partitioned"])
+def test_load_of_save_equals_the_instance(kind):
+    inst = _one_of_each_kind()[kind]
+    assert load(save(inst)) == inst
+    assert not load(save(inst)) != inst
+
+
+def _changed(inst, what):
+    """A copy of `inst` with one residue, one cost or the meta changed."""
+    doc = json.loads(save(inst))
+    key = "blocks" if "blocks" in doc else "mats"
+    if what == "residue":
+        cell = doc[key][0] if key == "blocks" else doc[key][0][0]
+        cell[0] += 1
+    elif what == "cost":
+        costs = doc["block_costs"][0] if key == "blocks" else doc["costs"]
+        costs[0] += 1
+    else:
+        doc["meta"]["extra"] = 1
+    return load(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("what", ["residue", "cost", "meta"])
+@pytest.mark.parametrize("kind", ["field", "integer", "partitioned"])
+def test_instances_differ_when_one_entry_differs(kind, what):
+    inst = _one_of_each_kind()[kind]
+    other = _changed(inst, what)
+    assert other != inst and not other == inst
+
+
+def test_ragged_integer_matrices_raise_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError):
+        IntegerInstance(2, 1, ([[1, 2], [3]],), (1,))
+
+
+@pytest.mark.parametrize("kind, name", [("field", "stack"), ("integer", "mats"),
+                                        ("partitioned", "blocks")])
+def test_the_coefficient_array_is_read_only(kind, name):
+    arr = getattr(_one_of_each_kind()[kind], name)
+    with pytest.raises(ValueError):
+        arr[0, 0, 0] = 1
+
+
+def test_per_term_matrices_are_the_stack_slabs():
+    inst = gen_dense(3, 4, seed=30)
+    assert inst.stack.shape == (4, 3, 3)
+    for k, mat in enumerate(inst.mats):
+        assert np.array_equal(mat.data, inst.stack[k])

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from degdet import (DEFAULT_PRIME, FieldMatrix, PartitionedInstance,
+from degdet import (DEFAULT_PRIME, PartitionedInstance,
                     PrimeModulus, SolveOptions, TwoMatching, degdet_commutative,
                     enumerate_perfect, gen_2x2, is_consistent, is_minus_infinity,
                     random_rank_profile, solve, solve_and_extract, to_instance)
@@ -15,10 +15,7 @@ P = DEFAULT_PRIME
 
 
 def part_from_blocks(blocks, costs):
-    n = len(blocks)
-    grid = tuple(tuple(FieldMatrix(P, np.array(b)) for b in row) for row in blocks)
-    return PartitionedInstance(PrimeModulus(P), n, grid,
-                               tuple(tuple(row) for row in costs))
+    return PartitionedInstance(PrimeModulus(P), np.array(blocks), costs)
 
 
 def doubled(i, j):
@@ -63,7 +60,7 @@ def test_is_consistent_matches_direct_rank_on_cycle():
         lam = rng.integers(1, P, size=4)
         full = np.zeros((4, 4), dtype=np.int64)
         for idx, (i, j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
-            full[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = part.blocks[i][j].data * int(lam[idx]) % P
+            full[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = part.blocks[i, j] * int(lam[idx]) % P
         direct_rank = brute_rank_mod(full, P)
         assert is_consistent(cycle, part, seed=trial) == (direct_rank == 4)
 

@@ -13,7 +13,7 @@ import pytest
 
 from degdet import (ConstPencil, DegDetError, SolveOptions, gen_bipartite, hungarian,
                     is_minus_infinity, random_bipartite_weights, save, solve)
-from degdet import ncrank
+from degdet import ncrank, solver
 from degdet.cli import main
 
 # Bipartite n = 5, density 0.6, costs +-5, seeds 0-59: over p <= 7 a one-sided
@@ -31,7 +31,7 @@ def assert_witnessed(inst, report):
     assert cert is not None
     assert cert.r + cert.s > inst.n
     assert cert.value < inst.n
-    assert cert.check(ConstPencil(inst.p, inst.stack()))
+    assert cert.check(ConstPencil(inst.p, inst.stack))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -92,3 +92,17 @@ def test_cli_prints_witness_sizes(capsys, tmp_path):
     path.write_bytes(save(gen_bipartite([[1, None], [None, 2]])))
     assert main(["solve", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["singular_certificate"] is None
+
+
+def test_singularity_call_reads_the_instance_stack_without_a_copy(monkeypatch):
+    inst = gen_bipartite([[1, 2], [None, 3]])
+    seen = []
+
+    def recording(pencil, seed):
+        seen.append(pencil)
+        return real(pencil, seed)
+
+    real = solver.solve_R
+    monkeypatch.setattr(solver, "solve_R", recording)
+    assert solver.solve(inst).value == 4
+    assert np.shares_memory(seen[0].stack, inst.stack)

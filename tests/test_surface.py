@@ -116,3 +116,10 @@ def test_every_private_module_name_is_referenced():
     orphans = [f"{module}: {name}" for module, name in defined
                if name.startswith("_") and not name.startswith("__") and name not in referenced]
     assert orphans == []
+
+
+def test_readme_library_example_runs_and_prints_two(capsys):
+    # doc drift in Instance.from_arrays or solve fails here
+    block = re.search(r"## Library example\s*```python\n(.*?)```", README.read_text(), re.S)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "2"
