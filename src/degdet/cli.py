@@ -56,8 +56,16 @@ def _solve_options(args) -> SolveOptions:
     )
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy takes non-negative seeds only."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
 def _add_common(parser: argparse.ArgumentParser, solving: bool) -> None:
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--prime", type=int, default=None)
     if solving:
         parser.add_argument("--no-scaling", action="store_true")
@@ -312,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=cmd_run)
 
     selftest = sub.add_parser("selftest", help="run the invariant suites")
-    selftest.add_argument("--seed", type=int, default=0)
+    selftest.add_argument("--seed", type=_seed, default=0)
     selftest.set_defaults(func=cmd_selftest)
     return parser
 

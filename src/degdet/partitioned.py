@@ -7,15 +7,14 @@ to its support equals its multiset size; for perfect matchings that means the
 restriction stays nonsingular.  deg Det of the partitioned matrix is the
 maximum weight of a consistent perfect 2-matching, so once the solver has the
 value, the witness is the first perfect 2-matching that weighs the value and
-passes :func:`is_consistent`.  That scan lists pairs of perfect matchings and
-is capped at n = 6.
+passes :func:`is_consistent`.  Some optimal one uses only the blocks tight in
+the solver's final pencil, so that sparse graph is all the scan reads.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -24,12 +23,11 @@ from .errors import DimensionMismatchError, ExtractionFailedError, SizeLimitErro
 from .field_linalg import mod_rank
 from .infinity import MINUS_INFINITY, MinusInfinity, is_minus_infinity
 from .instances import Instance, PartitionedInstance
-from .solver import SolveOptions, solve
+from .laurent import leading
+from .solver import SolveOptions, solve_with_final_pencil
 
 #: largest n that :func:`enumerate_perfect` enumerates
 ENUMERATION_SIZE_LIMIT = 5
-#: largest n whose perfect 2-matchings :func:`solve_and_extract` scans
-EXTRACTION_SIZE_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -113,29 +111,31 @@ def is_consistent(matching: TwoMatching, part: PartitionedInstance, seed: int = 
     return mod_rank(acc, part.p) == matching.size()
 
 
-def _perfect_two_matchings(part: PartitionedInstance, weight: int | None = None
+def _perfect_matchings(n: int, allowed: set, perm: tuple[int, ...] = ()
+                       ) -> Iterator[tuple[int, ...]]:
+    """Each perfect matching on the `allowed` cells that extends `perm`, as its
+    column tuple in lexicographic order, by backtracking row by row."""
+    if len(perm) == n:
+        yield perm
+    for j in sorted(j for (i, j) in allowed if i == len(perm)):
+        if j not in perm:
+            yield from _perfect_matchings(n, allowed, perm + (j,))
+
+
+def _perfect_two_matchings(part: PartitionedInstance, allowed: set
                            ) -> Iterator[tuple[int, TwoMatching]]:
-    """(weight, matching) per perfect 2-matching (pairs of perfect matchings,
-    deduplicated as multisets) in a fixed order.  With `weight`, a pair that
-    misses it is skipped unbuilt; duplicates weigh alike, so dedup is kept."""
-    n, costs, allowed = part.n, part.costs, set(part.edges())
-    perms = [perm for perm in permutations(range(n))
-             if all((i, perm[i]) in allowed for i in range(n))]
-    weights = [sum(costs[i][perm[i]] for i in range(n)) for perm in perms]
+    """(weight, matching) per perfect 2-matching on the `allowed` cells.  Lazy:
+    each new perfect matching is paired with every earlier one and itself, and
+    the pairs are deduplicated as multisets."""
+    perms: list[tuple[int, ...]] = []
     seen = set()
-    for a in range(len(perms)):
-        for b in range(a, len(perms)):
-            total = weights[a] + weights[b]
-            if weight is not None and total != weight:
-                continue
-            counter: Counter = Counter()
-            for i in range(n):
-                counter[(i, perms[a][i])] += 1
-                counter[(i, perms[b][i])] += 1
-            matching = TwoMatching.from_multiset(counter)
+    for perm in _perfect_matchings(part.n, allowed):
+        perms.append(perm)
+        for prev in perms:
+            matching = TwoMatching.from_multiset(Counter([*enumerate(perm), *enumerate(prev)]))
             if matching.edges not in seen:
                 seen.add(matching.edges)
-                yield total, matching
+                yield matching.weight(part.costs), matching
 
 
 def enumerate_perfect(part: PartitionedInstance, seed: int = 0
@@ -145,7 +145,7 @@ def enumerate_perfect(part: PartitionedInstance, seed: int = 0
         raise SizeLimitError(f"enumeration is capped at n={ENUMERATION_SIZE_LIMIT}")
     best_weight: int | MinusInfinity = MINUS_INFINITY
     best = None
-    for w, matching in _perfect_two_matchings(part):
+    for w, matching in _perfect_two_matchings(part, set(part.edges())):
         if is_consistent(matching, part, seed=seed) and (
                 is_minus_infinity(best_weight) or w > best_weight):
             best_weight, best = w, matching
@@ -157,22 +157,22 @@ def solve_and_extract(part: PartitionedInstance, opts: SolveOptions | None = Non
     """deg det (= deg Det) of the weighted partitioned matrix together with a
     maximum-weight perfect consistent 2-matching witnessing it.
 
-    The witness is the first perfect 2-matching that weighs the solver's value
-    and passes :func:`is_consistent`, which can only undershoot; so a returned
+    The witness is the first perfect 2-matching on the tight blocks (a nonzero
+    degree-0 slab in the final pencil) that weighs the solver's value and
+    passes :func:`is_consistent`, which can only undershoot; so a returned
     witness is valid, and an unlucky substitution on every optimal matching
-    raises ExtractionFailedError.  A finite value with n > 6 raises
-    SizeLimitError; an nc-singular instance returns (-inf, None) at any n.
+    raises ExtractionFailedError.  An nc-singular instance returns (-inf, None).
     """
     opts = opts or SolveOptions()
-    if not part.edges():
+    edges = part.edges()
+    if not edges:
         return MINUS_INFINITY, None
-    value = solve(to_instance(part), opts).value
-    if is_minus_infinity(value):
+    report, pencil = solve_with_final_pencil(to_instance(part), opts)
+    if is_minus_infinity(value := report.value):
         return MINUS_INFINITY, None
-    if part.n > EXTRACTION_SIZE_LIMIT:
-        raise SizeLimitError(f"witness extraction is capped at n={EXTRACTION_SIZE_LIMIT}")
+    tight = {edges[k] for k in np.flatnonzero(leading(pencil).stack.any(axis=(1, 2)))}
     rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 0x2A)))
-    for _, matching in _perfect_two_matchings(part, value):
-        if is_consistent(matching, part, seed=int(rng.integers(0, 2**63))):
+    for weight, matching in _perfect_two_matchings(part, tight):
+        if weight == value and is_consistent(matching, part, seed=int(rng.integers(0, 2**63))):
             return value, matching
     raise ExtractionFailedError(f"no consistent 2-matching of weight {value} was found")

@@ -168,8 +168,8 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
     """Like :func:`solve`, additionally returning the final pencil.
 
     The pencil is None when the instance is nc-singular or when the value had
-    to come from the blow-up fallback.  Tests read it (the golden records);
-    the package itself only needs :func:`solve`.
+    to come from the blow-up fallback.  Tests read it (the golden records),
+    and :func:`partitioned.solve_and_extract` reads its tight terms.
 
     The certificate of the constant pencil decides singularity; that pencil
     is the instance's read-only residue stack itself, wrapped without a

@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from degdet import cli, instances, partitioned, solve
 from degdet.cli import main
 
@@ -162,6 +164,17 @@ def test_solve_prime_refused_on_integer_files(capsys, tmp_path):
     for command in ("solve", "verify"):
         assert main([command, str(path), "--prime", "101"]) == 2
         assert "rational pipeline picks its own primes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("solve", "FILE"), ("verify", "FILE"),
+                                  ("gen", "dense", "--n", "2"), ("selftest",)])
+def test_negative_seed_is_a_usage_error(capsys, tmp_path, argv):
+    path, _ = gen_file(capsys, tmp_path, "dense", "--n", "2", "--seed", "1")
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    assert main([*argv, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "argument --seed: must be non-negative" in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_help_lists_no_removed_flags(capsys):

@@ -6,7 +6,8 @@ import pytest
 from degdet import (DEFAULT_PRIME, PartitionedInstance,
                     PrimeModulus, SolveOptions, TwoMatching, degdet_commutative,
                     enumerate_perfect, gen_2x2, is_consistent, is_minus_infinity,
-                    random_rank_profile, solve, solve_and_extract, to_instance)
+                    leading, random_rank_profile, solve, solve_and_extract,
+                    solve_with_final_pencil, to_instance)
 from degdet.errors import DimensionMismatchError, SizeLimitError
 
 from conftest import brute_rank_mod
@@ -147,17 +148,19 @@ def test_two_matching_validation():
 
 
 def test_extraction_failed_on_impossible_value(monkeypatch):
+    import dataclasses
+
     import degdet.partitioned as pt
     from degdet.errors import ExtractionFailedError
-    from degdet.solver import SolveReport
 
     part = gen_2x2(2, seed=33, rank_profile=[[2, 2], [2, 2]], cost_range=(0, 4))
 
     def fake_solver(inst, opts):
-        # a value no 2-matching can reach forces the mismatch branch
-        return SolveReport(10**9, (), (1,), 1, 1, 0)
+        # the real final pencil with a value no 2-matching can reach
+        report, pencil = solve_with_final_pencil(inst, opts)
+        return dataclasses.replace(report, value=10**9), pencil
 
-    monkeypatch.setattr(pt, "solve", fake_solver)
+    monkeypatch.setattr(pt, "solve_with_final_pencil", fake_solver)
     with pytest.raises(ExtractionFailedError):
         pt.solve_and_extract(part)
 
@@ -176,24 +179,72 @@ def test_solve_and_extract_at_n6_past_the_enumeration_cap():
 
 def test_solve_and_extract_at_n7():
     diagonal = [[2 if i == j else 0 for j in range(7)] for i in range(7)]
-    with pytest.raises(SizeLimitError):
-        solve_and_extract(gen_2x2(7, seed=8, rank_profile=diagonal))
+    part = gen_2x2(7, seed=8, rank_profile=diagonal)
+    value, matching = solve_and_extract(part)
+    assert value == 2 * sum(part.costs[i][i] for i in range(7))
+    assert matching.multiset() == Counter({(i, i): 2 for i in range(7)})
 
-    # the value is decided before the cap applies, so a singular n = 7 still answers
+    # the value is decided before any scan, so a singular n = 7 answers too
     empty_row = [[0] * 7] + [[2] * 7 for _ in range(6)]
     value, matching = solve_and_extract(gen_2x2(7, seed=9, rank_profile=empty_row))
     assert is_minus_infinity(value) and matching is None
 
 
-def test_weighed_scan_is_the_full_scan_filtered_by_weight():
+def test_tight_scan_is_a_subset_of_the_full_scan():
     from degdet.partitioned import _perfect_two_matchings
 
     for trial in range(6):
         n = 2 + trial % 3
         part = gen_2x2(n, seed=trial + 300, rank_profile=random_rank_profile(n, seed=trial),
                        cost_range=(-3, 3))  # small costs: many pairs tie
-        full = list(_perfect_two_matchings(part))
+        full = list(_perfect_two_matchings(part, set(part.edges())))
         assert all(w == m.weight(part.costs) for w, m in full)
-        for weight in {w for w, _ in full}:
-            assert list(_perfect_two_matchings(part, weight)) == [
-                (w, m) for w, m in full if w == weight]
+        report, pencil = solve_with_final_pencil(to_instance(part), SolveOptions(seed=trial))
+        if is_minus_infinity(report.value):
+            continue
+        live = np.flatnonzero(leading(pencil).stack.any(axis=(1, 2)))
+        tight = {part.edges()[k] for k in live}
+        assert set(_perfect_two_matchings(part, tight)) <= set(full)
+        value, matching = solve_and_extract(part, SolveOptions(seed=trial))
+        assert (value, matching) in full and value == report.value
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_solve_and_extract_past_the_old_cap(n):
+    part = gen_2x2(n, seed=n, rank_profile=random_rank_profile(n, seed=n),
+                   cost_range=(-10**6, 10**6))
+    value, matching = solve_and_extract(part, SolveOptions(seed=n))
+    assert matching.is_perfect(n)
+    assert matching.weight(part.costs) == value
+    assert is_consistent(matching, part, seed=n + 100)
+
+
+def test_solve_and_extract_at_n8_matches_the_commutative_oracle():
+    part = gen_2x2(8, seed=3, rank_profile=random_rank_profile(8, seed=3), cost_range=(-5, 5))
+    value, matching = solve_and_extract(part, SolveOptions(seed=3))
+    assert value == degdet_commutative(to_instance(part), seed=4)
+    assert matching.weight(part.costs) == value
+
+
+def test_equal_costs_return_at_the_first_pair():
+    # every block is tight, so only a lazy scan ends before listing 10!^2 pairs
+    n, c = 10, 5
+    part = gen_2x2(n, seed=0, rank_profile=[[2] * n for _ in range(n)], cost_range=(c, c))
+    value, matching = solve_and_extract(part)
+    assert value == 2 * n * c
+    assert matching.is_perfect(n)
+
+
+def test_backtracking_lists_the_allowed_permutations_in_order():
+    from itertools import permutations
+
+    from degdet.partitioned import _perfect_matchings
+
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        n = 1 + trial % 5
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        allowed = {cell for cell in cells if rng.random() < 0.7}
+        expected = [perm for perm in permutations(range(n))
+                    if all((i, perm[i]) in allowed for i in range(n))]
+        assert list(_perfect_matchings(n, allowed)) == expected
