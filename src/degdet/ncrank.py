@@ -47,8 +47,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NcRankGapError
 from .field_linalg import (FieldMatrix, _span_columns, as_residues, mod_column_space,
-                           mod_contains, mod_matmul, mod_nullspace, mod_preimage, mod_rank,
-                           mod_rref)
+                           mod_matmul, mod_nullspace, mod_preimage, mod_rank, mod_rref)
 
 
 @dataclass(frozen=True)
@@ -143,13 +142,12 @@ def _wong_certificate(pencil: ConstPencil, B: np.ndarray, rho: int) -> Certifica
     """
     p, n = pencil.p, pencil.n
     stack = pencil.stack
-    image = mod_column_space(B, p)
     W = np.zeros((n, 0), dtype=stack.dtype)
     U = mod_preimage(B, W, p)
     for _ in range(n + 2):
         flat = _span_columns(stack, U, p)  # every B_k u, u in U
         Wn = mod_column_space(flat, p)
-        if not mod_contains(image, Wn, p):
+        if mod_rank(np.concatenate([B, Wn], axis=1), p) != rho:  # Wn escapes im B
             return None
         if Wn.shape[1] == W.shape[1]:
             break

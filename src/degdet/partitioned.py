@@ -3,18 +3,21 @@
 A perfect 2-matching (every left and right node incident to exactly two edge
 slots) is a disjoint union of cycles, doubled edges included.  It is
 consistent with a partitioned matrix when the rank of the matrix restricted
-to its support equals its multiset size; for perfect matchings that means the
-restriction stays nonsingular.  deg Det of the partitioned matrix is the
-maximum weight of a consistent perfect 2-matching, so once the solver has the
-value, the witness is the first perfect 2-matching that weighs the value and
-passes :func:`is_consistent`.  Some optimal one uses only the blocks tight in
-the solver's final pencil, so that sparse graph is all the scan reads.
+to its support equals its multiset size.  deg Det of the partitioned matrix
+is the maximum weight of a consistent perfect 2-matching, so the witness for
+the solver's value is a perfect 2-matching that weighs it and passes
+:func:`is_consistent`.  The scan lists each perfect 2-matching once, on the
+blocks tight in the final pencil PAQ, shrunk first: dropping blocks while a
+substitution of the other degree-0 slabs stays full rank leaves PA'Q proper,
+so deg Det A' = deg Det A.  It is still exponential in the number of tight
+2-matchings at worst; no polynomial bound is claimed.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -23,7 +26,6 @@ from .errors import DimensionMismatchError, ExtractionFailedError, SizeLimitErro
 from .field_linalg import mod_rank
 from .infinity import MINUS_INFINITY, MinusInfinity, is_minus_infinity
 from .instances import Instance, PartitionedInstance
-from .laurent import leading
 from .solver import SolveOptions, solve_with_final_pencil
 
 #: largest n that :func:`enumerate_perfect` enumerates
@@ -38,14 +40,9 @@ class TwoMatching:
 
     def __post_init__(self):
         norm = tuple(sorted((int(i), int(j), int(mult)) for (i, j, mult) in self.edges))
-        for (_, _, mult) in norm:
-            if mult not in (1, 2):
-                raise DimensionMismatchError("edge multiplicities must be 1 or 2")
+        if any(mult not in (1, 2) for (_, _, mult) in norm):
+            raise DimensionMismatchError("edge multiplicities must be 1 or 2")
         object.__setattr__(self, "edges", norm)
-
-    @classmethod
-    def from_multiset(cls, counter: Counter) -> "TwoMatching":
-        return cls(tuple((i, j, mult) for (i, j), mult in counter.items()))
 
     def multiset(self) -> Counter:
         return Counter({(i, j): mult for (i, j, mult) in self.edges})
@@ -57,8 +54,7 @@ class TwoMatching:
         return {(i, j) for (i, j, _) in self.edges}
 
     def degrees(self) -> tuple[Counter, Counter]:
-        rows: Counter = Counter()
-        cols: Counter = Counter()
+        rows, cols = Counter(), Counter()
         for (i, j, mult) in self.edges:
             rows[i] += mult
             cols[j] += mult
@@ -69,10 +65,8 @@ class TwoMatching:
         return all(v <= 2 for v in rows.values()) and all(v <= 2 for v in cols.values())
 
     def is_perfect(self, n: int) -> bool:
-        rows, cols = self.degrees()
-        return (self.size() == 2 * n
-                and all(rows.get(i, 0) == 2 for i in range(n))
-                and all(cols.get(j, 0) == 2 for j in range(n)))
+        full = Counter(dict.fromkeys(range(n), 2))
+        return self.degrees() == (full, full)
 
     def weight(self, costs: Sequence[Sequence[int]]) -> int:
         """Doubled edges pay their cost twice."""
@@ -111,31 +105,25 @@ def is_consistent(matching: TwoMatching, part: PartitionedInstance, seed: int = 
     return mod_rank(acc, part.p) == matching.size()
 
 
-def _perfect_matchings(n: int, allowed: set, perm: tuple[int, ...] = ()
-                       ) -> Iterator[tuple[int, ...]]:
-    """Each perfect matching on the `allowed` cells that extends `perm`, as its
-    column tuple in lexicographic order, by backtracking row by row."""
-    if len(perm) == n:
-        yield perm
-    for j in sorted(j for (i, j) in allowed if i == len(perm)):
-        if j not in perm:
-            yield from _perfect_matchings(n, allowed, perm + (j,))
-
-
 def _perfect_two_matchings(part: PartitionedInstance, allowed: set
                            ) -> Iterator[tuple[int, TwoMatching]]:
-    """(weight, matching) per perfect 2-matching on the `allowed` cells.  Lazy:
-    each new perfect matching is paired with every earlier one and itself, and
-    the pairs are deduplicated as multisets."""
-    perms: list[tuple[int, ...]] = []
-    seen = set()
-    for perm in _perfect_matchings(part.n, allowed):
-        perms.append(perm)
-        for prev in perms:
-            matching = TwoMatching.from_multiset(Counter([*enumerate(perm), *enumerate(prev)]))
-            if matching.edges not in seen:
-                seen.add(matching.edges)
-                yield matching.weight(part.costs), matching
+    """(weight, matching) per perfect 2-matching on the `allowed` cells, each
+    once.  Lazy backtracking row by row: a row takes two distinct allowed
+    columns (tried first) or one allowed column twice, and no column is filled
+    past two, so the n rows' 2n slots fill every column exactly twice."""
+    rows = [sorted(j for (i, j) in allowed if i == row) for row in range(part.n)]
+
+    def extend(row: int, fill: Counter, edges: tuple) -> Iterator[tuple[int, TwoMatching]]:
+        if row == part.n:
+            matching = TwoMatching(edges)
+            yield matching.weight(part.costs), matching
+            return
+        for a, b in [*combinations(rows[row], 2), *zip(rows[row], rows[row])]:
+            if fill[a] + (a == b) < 2 and fill[b] < 2:
+                picked = ((row, a, 2),) if a == b else ((row, a, 1), (row, b, 1))
+                yield from extend(row + 1, fill + Counter((a, b)), edges + picked)
+
+    return extend(0, Counter(), ())
 
 
 def enumerate_perfect(part: PartitionedInstance, seed: int = 0
@@ -157,22 +145,34 @@ def solve_and_extract(part: PartitionedInstance, opts: SolveOptions | None = Non
     """deg det (= deg Det) of the weighted partitioned matrix together with a
     maximum-weight perfect consistent 2-matching witnessing it.
 
-    The witness is the first perfect 2-matching on the tight blocks (a nonzero
-    degree-0 slab in the final pencil) that weighs the solver's value and
-    passes :func:`is_consistent`, which can only undershoot; so a returned
-    witness is valid, and an unlucky substitution on every optimal matching
-    raises ExtractionFailedError.  An nc-singular instance returns (-inf, None).
+    The witness is the first perfect 2-matching on the shrunk tight blocks,
+    else on all tight blocks, that weighs the value and passes
+    :func:`is_consistent`, which can only undershoot; so a returned witness is
+    valid, and an unlucky substitution on every optimal matching raises
+    ExtractionFailedError.  An nc-singular instance returns (-inf, None).
     """
     opts = opts or SolveOptions()
-    edges = part.edges()
+    edges, p = part.edges(), part.p
     if not edges:
         return MINUS_INFINITY, None
     report, pencil = solve_with_final_pencil(to_instance(part), opts)
     if is_minus_infinity(value := report.value):
         return MINUS_INFINITY, None
-    tight = {edges[k] for k in np.flatnonzero(leading(pencil).stack.any(axis=(1, 2)))}
+    # the tight blocks (a degree-0 slab), less each one whose removal keeps a
+    # random substitution of the remaining degree-0 slabs full rank
+    tight = pencil.degree == 0
+    cells = [edges[k] for k in pencil.term[tight]]
+    lam = np.random.default_rng(np.random.SeedSequence((opts.seed, 0x2B))).integers(1, p, len(cells))
+    terms = [int(c) * slab % p for c, slab in zip(lam, pencil.coeffs[tight])]
+    acc, kept = sum(terms) % p, []
+    for cell, term in zip(cells, terms):
+        if mod_rank(rest := (acc - term) % p, p) == pencil.n:
+            acc = rest
+        else:
+            kept.append(cell)
     rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 0x2A)))
-    for weight, matching in _perfect_two_matchings(part, tight):
-        if weight == value and is_consistent(matching, part, seed=int(rng.integers(0, 2**63))):
-            return value, matching
+    for allowed in (set(kept), set(cells)):
+        for weight, matching in _perfect_two_matchings(part, allowed):
+            if weight == value and is_consistent(matching, part, seed=int(rng.integers(0, 2**63))):
+                return value, matching
     raise ExtractionFailedError(f"no consistent 2-matching of weight {value} was found")

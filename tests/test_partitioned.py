@@ -235,16 +235,46 @@ def test_equal_costs_return_at_the_first_pair():
     assert matching.is_perfect(n)
 
 
-def test_backtracking_lists_the_allowed_permutations_in_order():
-    from itertools import permutations
+def test_generator_lists_each_union_of_two_allowed_permutations_once():
+    from itertools import combinations_with_replacement, permutations
 
-    from degdet.partitioned import _perfect_matchings
+    from degdet.partitioned import _perfect_two_matchings
 
     rng = np.random.default_rng(12)
     for trial in range(40):
         n = 1 + trial % 5
-        cells = [(i, j) for i in range(n) for j in range(n)]
-        allowed = {cell for cell in cells if rng.random() < 0.7}
-        expected = [perm for perm in permutations(range(n))
-                    if all((i, perm[i]) in allowed for i in range(n))]
-        assert list(_perfect_matchings(n, allowed)) == expected
+        part = gen_2x2(n, seed=trial + 500, rank_profile=[[2] * n] * n, cost_range=(-3, 3))
+        allowed = {(i, j) for i in range(n) for j in range(n) if rng.random() < 0.7}
+        perms = [perm for perm in permutations(range(n))
+                 if all((i, perm[i]) in allowed for i in range(n))]
+        unions = {TwoMatching(tuple((i, j, mult) for (i, j), mult
+                                    in Counter([*enumerate(a), *enumerate(b)]).items()))
+                  for a, b in combinations_with_replacement(perms, 2)}
+        listed = list(_perfect_two_matchings(part, allowed))
+        assert all(w == m.weight(part.costs) for w, m in listed)
+        matchings = [m for _, m in listed]
+        assert len(matchings) == len(set(matchings)) and set(matchings) == unions
+
+
+@pytest.mark.parametrize("n, cost_range", [(7, (5, 5)), (8, (5, 5)), (10, (0, 1))],
+                         ids=["equal-n7", "equal-n8", "zero-one-n10"])
+def test_rank1_grids_need_at_most_n_consistency_checks(monkeypatch, n, cost_range):
+    # every block has rank 1, so no doubled edge is consistent, and equal or
+    # 0/1 costs tie almost everywhere; the shrunk tight set must still give
+    # the witness within n candidate checks
+    import degdet.partitioned as pt
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return is_consistent(*args, **kwargs)
+
+    monkeypatch.setattr(pt, "is_consistent", counted)
+    for s in range(5):
+        calls.clear()
+        part = gen_2x2(n, s, [[1] * n] * n, cost_range)
+        value, matching = pt.solve_and_extract(part, SolveOptions(seed=s))
+        assert matching.is_perfect(n) and matching.weight(part.costs) == value
+        assert is_consistent(matching, part, seed=1000 + s)
+        assert len(calls) <= n
