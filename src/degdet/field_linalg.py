@@ -12,8 +12,10 @@ modulus, :func:`as_residues` makes every residue array and :func:`mod_matmul`
 is the one modular product, so no other copy of it can overflow at 62 bits.
 
 Array-level kernels (``mod_matmul``, ``mod_rref``, ...) are what the solver
-hot paths use; :class:`FieldMatrix` and :class:`Subspace` wrap them for the
-public API.
+runs, and its certificates hold plain residue arrays.  :class:`FieldMatrix`
+and :class:`Subspace` are the read-only wrappers of the public kernels
+(:func:`rref`, :func:`nullspace`, :func:`column_space`, :func:`preimage`,
+:func:`span_union`) and of ``Instance.mats``.
 """
 
 from __future__ import annotations
@@ -247,10 +249,6 @@ class FieldMatrix:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def from_rows(cls, p: int, rows: Sequence[Sequence[int]]) -> "FieldMatrix":
-        return cls(p, np.array(rows))
-
-    @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "FieldMatrix":
         return cls(p, np.zeros((rows, cols), dtype=np.int64))
 
@@ -267,28 +265,6 @@ class FieldMatrix:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    # -- arithmetic ---------------------------------------------------------
-    def _check_p(self, other: "FieldMatrix"):
-        if self.p != other.p:
-            raise DimensionMismatchError("mixed moduli")
-
-    def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_p(other)
-        if self.cols != other.rows:
-            raise DimensionMismatchError(f"{self.data.shape} @ {other.data.shape}")
-        return FieldMatrix(self.p, mod_matmul(self.data, other.data, self.p))
-
-    def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_p(other)
-        return FieldMatrix(self.p, (self.data + other.data) % self.p)
-
-    def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_p(other)
-        return FieldMatrix(self.p, (self.data - other.data) % self.p)
-
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.p, self.data.T)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, FieldMatrix) and self.p == other.p
                 and self.data.shape == other.data.shape
@@ -299,15 +275,6 @@ class FieldMatrix:
 
     def rank(self) -> int:
         return mod_rank(self.data, self.p)
-
-    def is_zero(self) -> bool:
-        return not np.any(self.data)
-
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
-
-    def inverse(self) -> "FieldMatrix":
-        return FieldMatrix(self.p, mod_inverse_matrix(self.data, self.p))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, PositiveDegreeError, SizeLimitError
-from .field_linalg import FieldMatrix, _dtype_for, _mod_sandwich, as_residues
+from .field_linalg import _dtype_for, _mod_sandwich, as_residues
 from .ncrank import ConstPencil
 
 
@@ -156,21 +156,22 @@ def leading(pencil: LaurentPencil) -> ConstPencil:
     return ConstPencil._wrap(pencil.p, stack)
 
 
-def step_update(pencil: LaurentPencil, S: FieldMatrix, T: FieldMatrix,
+def step_update(pencil: LaurentPencil, S: np.ndarray, T: np.ndarray,
                 r: int, s: int) -> LaurentPencil:
     """One certificate step: B_k <- (t on first r rows) S B_k T (t**-1 on first n-s columns).
 
-    Requires the leading S B_k T to vanish on its upper-right r x s block for
-    every k; a nonzero entry there would land at degree +1 and raises
-    :class:`PositiveDegreeError`.
+    S and T are (n, n) residue arrays mod p, as a :class:`~degdet.ncrank.Certificate`
+    holds them.  Requires the leading S B_k T to vanish on its upper-right
+    r x s block for every k; a nonzero entry there would land at degree +1
+    and raises :class:`PositiveDegreeError`.
     """
     n = pencil.n
     if not (0 <= r <= n and 0 <= s <= n):
         raise DimensionMismatchError(f"block sizes r={r}, s={s} out of range for n={n}")
-    if S.data.shape != (n, n) or T.data.shape != (n, n):
+    if S.shape != (n, n) or T.shape != (n, n):
         raise DimensionMismatchError("S and T must be n x n")
     cut = n - s
-    mid = _mod_sandwich(S.data, pencil.coeffs, T.data, pencil.p)
+    mid = _mod_sandwich(S, pencil.coeffs, T, pencil.p)
     # each slab's four blocks, with the degree shift each one takes
     blocks = ((np.s_[:r], np.s_[cut:], 1), (np.s_[:r], np.s_[:cut], 0),
               (np.s_[r:], np.s_[cut:], 0), (np.s_[r:], np.s_[:cut], -1))

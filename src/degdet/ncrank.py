@@ -46,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NcRankGapError
-from .field_linalg import (FieldMatrix, _span_columns, as_residues, mod_column_space,
-                           mod_matmul, mod_nullspace, mod_preimage, mod_rank, mod_rref)
+from .field_linalg import (_span_columns, as_residues, mod_column_space, mod_matmul,
+                           mod_nullspace, mod_preimage, mod_rank, mod_rref)
 
 
 @dataclass(frozen=True)
@@ -92,48 +92,53 @@ class ConstPencil:
         return (lam[:, None, None] * self.stack % self.p).sum(axis=0) % self.p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
-    """An (R) solution: S B_k T has a zero upper-right r x s block for all k."""
+    """An (R) solution: S B_k T has a zero upper-right r x s block for all k.
 
-    S: FieldMatrix
-    T: FieldMatrix
+    S and T are (n, n) residue arrays, read-only and of the stack's dtype as
+    :func:`solve_R` returns them; certificates compare by identity.
+    """
+
+    S: np.ndarray
+    T: np.ndarray
     r: int
     s: int
     value: int
 
     def check(self, pencil: ConstPencil) -> bool:
         """Machine-check the zero block and invertibility."""
-        n = pencil.n
+        n, p = pencil.n, pencil.p
         if self.value != 2 * n - self.r - self.s:
             return False
-        if not (self.S.is_invertible() and self.T.is_invertible()):
+        if any(M.shape != (n, n) or mod_rank(M, p) != n for M in (self.S, self.T)):
             return False
         if self.r == 0 or self.s == 0:
             return True
-        moved = mod_matmul(mod_matmul(self.S.data, pencil.stack, pencil.p),
-                           self.T.data, pencil.p)
+        moved = mod_matmul(mod_matmul(self.S, pencil.stack, p), self.T, p)
         return not np.any(moved[:, : self.r, n - self.s:])
 
 
 def _complete_basis(cols: np.ndarray, p: int) -> np.ndarray:
-    """Columns of the identity completing `cols` to a basis of GF(p)^n."""
+    """Columns of the identity completing independent `cols` to a basis of GF(p)^n."""
     n, k = cols.shape
     eye = np.eye(n, dtype=cols.dtype)
-    joint = np.concatenate([cols, eye], axis=1)
-    _, _, rank, pivots = mod_rref(joint, p)
-    if rank != n:
-        raise DimensionMismatchError("could not complete to a basis")
+    pivots = mod_rref(np.concatenate([cols, eye], axis=1), p)[3]
     chosen = [piv - k for piv in pivots if piv >= k]
+    if len(chosen) != n - k:  # some given column is not a pivot
+        raise DimensionMismatchError("columns to complete to a basis are dependent")
     return eye[:, chosen]
 
 
 def _wong_certificate(pencil: ConstPencil, B: np.ndarray, rho: int) -> Certificate | None:
     """Try to build a certificate from substitution point B of rank rho.
 
-    Returns None when the Wong sequence escapes the image of B.  Whenever a
-    certificate is returned it is exact: its value both upper-bounds nc-rank
-    (validity) and lower-bounds it (equals rank B), so no luck is involved.
+    Returns None when the Wong sequence escapes the image of B, read off the
+    preimage each step takes anyway: dim B^-1(W) = n - rho + dim W exactly
+    when W lies in im B.  The sequence is monotone, so a step that keeps the
+    dimension adds nothing to check.  Whenever a certificate is returned it
+    is exact: its value both upper-bounds nc-rank (validity) and
+    lower-bounds it (equals rank B), so no luck is involved.
 
     The certificate is verified before it is returned.  Its zero block
     S[:r] B_k T[:, n-s:] is left^T B_k U, checked as left^T times the columns
@@ -147,12 +152,12 @@ def _wong_certificate(pencil: ConstPencil, B: np.ndarray, rho: int) -> Certifica
     for _ in range(n + 2):
         flat = _span_columns(stack, U, p)  # every B_k u, u in U
         Wn = mod_column_space(flat, p)
-        if mod_rank(np.concatenate([B, Wn], axis=1), p) != rho:  # Wn escapes im B
-            return None
         if Wn.shape[1] == W.shape[1]:
             break
         W = Wn
         U = mod_preimage(B, W, p)
+        if U.shape[1] != n - rho + W.shape[1]:  # W escapes im B
+            return None
     else:  # pragma: no cover - monotone dims stabilize within n steps
         raise AssertionError("Wong sequence failed to stabilize")
 
@@ -164,7 +169,8 @@ def _wong_certificate(pencil: ConstPencil, B: np.ndarray, rho: int) -> Certifica
     if (2 * n - r - s != rho or np.any(mod_matmul(left.T, flat, p))
             or mod_rank(S, p) != n or mod_rank(T, p) != n):
         raise AssertionError("constructed certificate failed verification")
-    return Certificate(FieldMatrix(p, S), FieldMatrix(p, T), r, s, rho)
+    S.flags.writeable = T.flags.writeable = False
+    return Certificate(S, T, r, s, rho)
 
 
 def solve_R(pencil: ConstPencil, seed: int) -> Certificate:
@@ -186,13 +192,14 @@ def solve_R(pencil: ConstPencil, seed: int) -> Certificate:
     if len(live) < m:
         pencil = ConstPencil._wrap(p, pencil.stack[live])
     rng = np.random.default_rng(seed)
-    ident = FieldMatrix.identity(p, n)
     best_rank = -1
     for _ in range(3 * n):
         lam = rng.integers(0, p, size=m)
         B = pencil.substitute(lam[live])
         rank = mod_rank(B, p)
         if rank == n:
+            ident = np.eye(n, dtype=pencil.stack.dtype)
+            ident.flags.writeable = False
             return Certificate(ident, ident, 0, n, n)
         if rank < best_rank:
             continue

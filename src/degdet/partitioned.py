@@ -134,8 +134,8 @@ def enumerate_perfect(part: PartitionedInstance, seed: int = 0
     best_weight: int | MinusInfinity = MINUS_INFINITY
     best = None
     for w, matching in _perfect_two_matchings(part, set(part.edges())):
-        if is_consistent(matching, part, seed=seed) and (
-                is_minus_infinity(best_weight) or w > best_weight):
+        if (is_minus_infinity(best_weight) or w > best_weight) and is_consistent(
+                matching, part, seed=seed):
             best_weight, best = w, matching
     return best_weight, best
 

@@ -42,11 +42,11 @@ def test_rref_zero_matrix():
 
 
 def test_rref_dependent_rows_mod5():
-    M = FieldMatrix.from_rows(5, [[1, 2], [2, 4]])
+    M = FieldMatrix(5, [[1, 2], [2, 4]])
     R, U, rank = rref(M)
     assert rank == 1
-    assert U.is_invertible()
-    assert (U @ M) == R
+    assert U.rank() == 2
+    assert np.array_equal(mod_matmul(U.data, M.data, 5), R.data)
 
 
 def test_rref_transform_invertible_on_random():
@@ -56,14 +56,14 @@ def test_rref_transform_invertible_on_random():
         M = FieldMatrix(P, rng.integers(0, P, size=(rows, cols)))
         R, U, rank = rref(M)
         assert rref(U)[2] == rows  # U invertible
-        assert (U @ M) == R
+        assert np.array_equal(mod_matmul(U.data, M.data, P), R.data)
         assert rank == brute_rank_mod(M.data, P)
 
 
 def test_nullspace_examples():
     assert nullspace(FieldMatrix.identity(P, 2)).dim == 0
     assert nullspace(FieldMatrix.zeros(P, 2, 2)).dim == 2
-    ns = nullspace(FieldMatrix.from_rows(5, [[1, 2], [2, 4]]))
+    ns = nullspace(FieldMatrix(5, [[1, 2], [2, 4]]))
     assert ns.dim == 1
     assert ns.basis.data[:, 0].tolist() == [3, 1]
 
@@ -96,7 +96,7 @@ def test_preimage_under_invertible_keeps_dim():
     rng = np.random.default_rng(4)
     while True:
         M = FieldMatrix(P, rng.integers(0, P, size=(4, 4)))
-        if M.is_invertible():
+        if M.rank() == 4:
             break
     W = Subspace.from_columns(P, rng.integers(0, P, size=(4, 2)))
     assert preimage(M, W).dim == W.dim
@@ -124,8 +124,8 @@ def test_span_union_examples():
     zero = FieldMatrix.zeros(P, 3, 3)
     assert span_union([zero, zero], U).dim == 0
 
-    e11 = FieldMatrix.from_rows(P, [[1, 0], [0, 0]])
-    e22 = FieldMatrix.from_rows(P, [[0, 0], [0, 1]])
+    e11 = FieldMatrix(P, [[1, 0], [0, 0]])
+    e22 = FieldMatrix(P, [[0, 0], [0, 1]])
     assert span_union([e11, e22], Subspace.full(P, 2)).dim == 2
 
 
@@ -136,23 +136,23 @@ def test_span_union_dimension_mismatch():
 
 def test_matmul_against_python_ints():
     rng = np.random.default_rng(6)
-    A = FieldMatrix(P, rng.integers(0, P, size=(3, 4)))
-    B = FieldMatrix(P, rng.integers(0, P, size=(4, 2)))
-    got = (A @ B).data
+    A = rng.integers(0, P, size=(3, 4))
+    B = rng.integers(0, P, size=(4, 2))
+    got = mod_matmul(A, B, P)
     for i in range(3):
         for j in range(2):
-            want = sum(int(A.data[i, k]) * int(B.data[k, j]) for k in range(4)) % P
+            want = sum(int(A[i, k]) * int(B[k, j]) for k in range(4)) % P
             assert int(got[i, j]) == want
 
 
 def test_large_prime_object_path():
     big = 2305843009213693951  # 2**61 - 1, a Mersenne prime
-    A = FieldMatrix(big, [[big - 1, 2], [3, big - 5]])
-    B = FieldMatrix(big, [[1, 1], [1, 2]])
-    got = (A @ B).data
+    A = as_residues([[big - 1, 2], [3, big - 5]], big)
+    B = as_residues([[1, 1], [1, 2]], big)
+    got = mod_matmul(A, B, big)
     assert int(got[0, 0]) == (big - 1 + 2) % big
-    R, U, rank = rref(A)
-    assert rank == brute_rank_mod(A.data, big)
+    R, U, rank = rref(FieldMatrix(big, A))
+    assert rank == brute_rank_mod(A, big)
 
 
 def test_operations_deterministic():
@@ -176,12 +176,6 @@ def test_subspace_membership():
     smaller = Subspace.from_columns(P, np.array([[1], [0], [0]]))
     assert W.contains_subspace(smaller)
     assert not smaller.contains_subspace(W)
-
-
-def test_transpose_and_add_sub():
-    A = FieldMatrix.from_rows(P, [[1, 2], [3, 4]])
-    assert A.transpose().data.tolist() == [[1, 3], [2, 4]]
-    assert (A + A - A) == A
 
 
 P61 = 2**61 - 1  # a Mersenne prime; residues need the object path

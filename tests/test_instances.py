@@ -45,7 +45,7 @@ def test_gen_bipartite_cost_zero_is_present():
 
 def test_gen_rank1_scalar_case():
     inst = gen_rank1(1, 4, seed=3, cost_range=(-5, 5))
-    expected = max((c for mat, c in zip(inst.mats, inst.costs) if not mat.is_zero()),
+    expected = max((c for mat, c in zip(inst.stack, inst.costs) if mat.any()),
                    default=MINUS_INFINITY)
     assert solve(inst).value == expected
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import degdet.field_linalg as field_linalg
-from degdet import (DEFAULT_PRIME, ConstPencil, FieldMatrix, LaurentPencil, SolveOptions,
-                    build_blowup, gen_bipartite, is_nc_nonsingular, leading, solve, solve_R)
+from degdet import (DEFAULT_PRIME, ConstPencil, LaurentPencil, SolveOptions, build_blowup,
+                    gen_bipartite, is_nc_nonsingular, leading, solve, solve_R)
 from degdet.errors import DimensionMismatchError, NcRankGapError
 from degdet.field_linalg import mod_rank
-from degdet.ncrank import _wong_certificate, substituted_blowup
+from degdet.ncrank import _complete_basis, _wong_certificate, substituted_blowup
 
 from conftest import brute_rank_mod, unit_matrix
 
@@ -21,7 +21,7 @@ def test_solve_r_identity_pencil():
         cert = solve_R(pen, seed=0)
         assert cert.value == n
         assert (cert.r, cert.s) == (0, n)
-        assert cert.S == FieldMatrix.identity(P, n)
+        assert np.array_equal(cert.S, np.eye(n, dtype=int))
         assert cert.check(pen)
 
 
@@ -149,7 +149,8 @@ def test_solve_r_reproducible():
     pen = ConstPencil(P, stack)
     a = solve_R(pen, seed=42)
     b = solve_R(pen, seed=42)
-    assert a.S == b.S and a.T == b.T and (a.r, a.s) == (b.r, b.s)
+    assert np.array_equal(a.S, b.S) and np.array_equal(a.T, b.T)
+    assert (a.r, a.s) == (b.r, b.s)
 
 
 @pytest.mark.parametrize("p", [5, P, 2**61 - 1])
@@ -209,7 +210,8 @@ def test_wong_certificate_ignores_zero_slabs(p):
         a, b = _wong_certificate(full, B, rank), _wong_certificate(part, B, rank)
         assert (a is None) == (b is None)
         if a is not None:
-            assert (a.S, a.T, a.r, a.s, a.value) == (b.S, b.T, b.r, b.s, b.value)
+            assert np.array_equal(a.S, b.S) and np.array_equal(a.T, b.T)
+            assert (a.r, a.s, a.value) == (b.r, b.s, b.value)
 
 
 @pytest.mark.parametrize("p", [5, P, 2**61 - 1])
@@ -249,3 +251,41 @@ def test_bipartite_n16_solve_stays_under_three_million_matmul_macs(monkeypatch):
     report = solve(gen_bipartite(costs.tolist()), SolveOptions(seed=0))
     assert (report.value, report.oracle_calls) == (13260670, 54)
     assert sum(macs) <= 3_000_000, sum(macs)
+
+
+@pytest.mark.parametrize("p", [5, P, 2**61 - 1])
+def test_certificates_hold_readonly_square_arrays_of_the_stack_dtype(p):
+    full, _, _ = _interleaved(p, seed=p % 83)
+    wide = ConstPencil(p, np.stack([np.eye(4, dtype=int), np.ones((4, 4), dtype=int)]))
+    certs = [solve_R(full, seed=3), solve_R(wide, seed=0)]
+    assert [(c.r, c.s) for c in certs] == [(4, 2), (0, 4)]  # a Wong and a degenerate one
+    for pen, cert in zip((full, wide), certs):
+        for M in (cert.S, cert.T):
+            assert isinstance(M, np.ndarray) and M.shape == (4, 4)
+            assert M.dtype == pen.stack.dtype and not M.flags.writeable
+
+
+def test_complete_basis_refuses_dependent_columns():
+    cols = np.array([[1, 2], [2, 4], [0, 0]])
+    with pytest.raises(DimensionMismatchError):
+        _complete_basis(cols, P)
+    assert _complete_basis(cols[:, :1], P).shape == (3, 2)
+
+
+def test_bipartite_n16_solve_stays_under_380_rref_calls(monkeypatch):
+    # Every mod_rref, by any module's name for it, on the solve of the MAC
+    # guard above.  A Wong step that tests W against im B by its own
+    # elimination before taking the preimage makes 414 calls here.
+    real, calls = field_linalg.mod_rref, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("degdet") and getattr(module, "mod_rref", None) is real:
+            monkeypatch.setattr(module, "mod_rref", counted)
+    costs = np.random.default_rng(116).integers(-10**6, 10**6, (16, 16))
+    report = solve(gen_bipartite(costs.tolist()), SolveOptions(seed=0))
+    assert (report.value, report.oracle_calls) == (13260670, 54)
+    assert len(calls) <= 380, len(calls)

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from degdet import (DEFAULT_PRIME, PartitionedInstance,
+from degdet import (DEFAULT_PRIME, MINUS_INFINITY, PartitionedInstance,
                     PrimeModulus, SolveOptions, TwoMatching, degdet_commutative,
                     enumerate_perfect, gen_2x2, is_consistent, is_minus_infinity,
                     leading, random_rank_profile, solve, solve_and_extract,
@@ -278,3 +278,34 @@ def test_rank1_grids_need_at_most_n_consistency_checks(monkeypatch, n, cost_rang
         assert matching.is_perfect(n) and matching.weight(part.costs) == value
         assert is_consistent(matching, part, seed=1000 + s)
         assert len(calls) <= n
+
+
+def test_enumerate_perfect_weighs_before_it_checks_consistency(monkeypatch):
+    # a candidate that cannot beat the best weight so far needs no rank test;
+    # the (value, witness) pair is the consistency-first loop's, since every
+    # check draws the same seed
+    import degdet.partitioned as pt
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return is_consistent(*args, **kwargs)
+
+    monkeypatch.setattr(pt, "is_consistent", counted)
+    parts = [gen_2x2(4, s, [[2] * 4] * 4, (-5, 5)) for s in (1, 2)]
+    parts += [gen_2x2(4, s, random_rank_profile(4, s), (-10**6, 10**6)) for s in (3, 4)]
+    for part in parts:
+        calls.clear()
+        got = pt.enumerate_perfect(part, seed=7)
+        best_weight, best, checks = MINUS_INFINITY, None, 0
+        for w, matching in pt._perfect_two_matchings(part, set(part.edges())):
+            checks += 1
+            if is_consistent(matching, part, seed=7) and (
+                    is_minus_infinity(best_weight) or w > best_weight):
+                best_weight, best = w, matching
+        assert got == (best_weight, best)
+        assert len(calls) < checks
+    calls.clear()
+    enumerate_perfect(gen_2x2(5, 1, [[2] * 5] * 5, (-5, 5)))
+    assert len(calls) <= 16  # the consistency-first loop makes 6,210 checks

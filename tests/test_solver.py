@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from degdet import (DEFAULT_PRIME, Certificate, FieldMatrix, Instance,
+from degdet import (DEFAULT_PRIME, Certificate, Instance,
                     LaurentMatrix, LaurentPencil, MINUS_INFINITY, SolveOptions,
                     gen_bipartite, gen_dense, is_minus_infinity, leading, normalize_costs,
                     run_phase, solve, solve_R, solve_with_final_pencil)
@@ -205,7 +205,7 @@ def test_phase_raises_at_its_bound(monkeypatch, scaling):
 
     def stuck(pencil, seed):
         calls.append(seed)
-        ident = FieldMatrix.identity(P, pencil.n)
+        ident = np.eye(pencil.n, dtype=np.int64)
         return Certificate(ident, ident, 0, 0, 2 * pencil.n)
 
     monkeypatch.setattr(solver, "solve_R", stuck)

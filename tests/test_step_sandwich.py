@@ -10,9 +10,9 @@ definitions: a reference step built from two full products, and the full
 import numpy as np
 import pytest
 
-from degdet import (ConstPencil, FieldMatrix, LaurentMatrix, LaurentPencil, SolveOptions,
-                    gen_bipartite, gen_dense, gen_rank1, random_bipartite_weights, solve,
-                    solve_R, step_update)
+from degdet import (ConstPencil, LaurentMatrix, LaurentPencil, SolveOptions, gen_bipartite,
+                    gen_dense, gen_rank1, random_bipartite_weights, solve, solve_R,
+                    step_update)
 from degdet import field_linalg, ncrank, solver
 from degdet.errors import PositiveDegreeError
 from degdet.field_linalg import as_residues, mod_inverse_matrix, mod_matmul, mod_rank
@@ -88,7 +88,7 @@ def test_step_update_matches_full_products(p, shape):
                 else:
                     S, T = random_invertible(rng, n, p), random_invertible(rng, n, p)
                 pencil = random_pencil(rng, n, int(rng.integers(1, 4)), p, S, T, r, s)
-                got = step_update(pencil, FieldMatrix(p, S), FieldMatrix(p, T), r, s)
+                got = step_update(pencil, S, T, r, s)
                 assert got.terms == reference_step(pencil, S, T, r, s).terms, (n, r, s)
 
 
@@ -102,7 +102,7 @@ def test_step_update_rejects_a_nonzero_block_like_the_reference(p):
     with pytest.raises(PositiveDegreeError):
         reference_step(pencil, S, T, r, s)
     with pytest.raises(PositiveDegreeError):
-        step_update(pencil, FieldMatrix(p, S), FieldMatrix(p, T), r, s)
+        step_update(pencil, S, T, r, s)
 
 
 def hidden_block_pencil(rng, n, m, r0, s0, p):
