@@ -171,11 +171,17 @@ def mod_inverse_matrix(a: np.ndarray, p: int) -> np.ndarray:
 
 def mod_nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Columns spanning {x : a @ x == 0}; shape (cols, cols - rank)."""
-    R, _, rank, pivots = mod_rref(a, p)
+    R, _, _, pivots = mod_rref(a, p)
+    return _rref_kernel(R, pivots, p)
+
+
+def _rref_kernel(R: np.ndarray, pivots: tuple, p: int) -> np.ndarray:
+    """Columns spanning ker R, R reduced with these pivots: each is 1 at its
+    free row, which is its last nonzero row, and 0 at the other free rows."""
     free = [c for c in range(R.shape[1]) if c not in pivots]
     basis = np.zeros((R.shape[1], len(free)), dtype=R.dtype)
     basis[free, np.arange(len(free))] = 1
-    basis[list(pivots)] = -R[:rank, free] % p
+    basis[list(pivots)] = -R[: len(pivots), free] % p
     return basis
 
 

@@ -19,12 +19,17 @@ over all m terms and then restricted to the live ones, so B, every subspace
 and every certificate are those of the full pencil (a zero B_k adds only
 zero columns B_k u, and the reduced-echelon column space ignores them).
 
+Each sampled B is reduced once, E B = R.  Its rank decides the full-rank
+exit, ker B is read off R, and each Wong step gets B^-1(W) and the test of
+W against im B from the one product E W.
+
 Every certificate is verified before it is returned.  Its zero block
 S[:r] B_k T[:, n-s:] is checked exactly as the first r rows of S times the
 columns B_k u (u spanning T[:, n-s:]) that the last Wong step already
 formed, r n m s multiply-adds instead of the 2 m n^3 of forming every
-S B_k T; S and T are checked invertible by rank.  :meth:`Certificate.check`
-recomputes the whole product and stays the independent verifier.
+S B_k T.  S and T are invertible by construction (echelon bases completed
+by unit vectors).  :meth:`Certificate.check` recomputes the whole product,
+ranks S and T, and stays the independent verifier.
 
 Singularity comes from the same oracle: on the constant pencil a
 certificate of value below n has r + s > n, a shrunk subspace that proves
@@ -46,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NcRankGapError
-from .field_linalg import (_span_columns, as_residues, mod_column_space, mod_matmul,
-                           mod_nullspace, mod_preimage, mod_rank, mod_rref)
+from .field_linalg import (_rref_kernel, _span_columns, as_residues, mod_column_space,
+                           mod_matmul, mod_nullspace, mod_rank, mod_rref)
 
 
 @dataclass(frozen=True)
@@ -119,56 +124,63 @@ class Certificate:
         return not np.any(moved[:, : self.r, n - self.s:])
 
 
-def _complete_basis(cols: np.ndarray, p: int) -> np.ndarray:
-    """Columns of the identity completing independent `cols` to a basis of GF(p)^n."""
-    n, k = cols.shape
-    eye = np.eye(n, dtype=cols.dtype)
-    pivots = mod_rref(np.concatenate([cols, eye], axis=1), p)[3]
-    chosen = [piv - k for piv in pivots if piv >= k]
-    if len(chosen) != n - k:  # some given column is not a pivot
-        raise DimensionMismatchError("columns to complete to a basis are dependent")
-    return eye[:, chosen]
+def _unit_completion(cols: np.ndarray, last: bool = False) -> np.ndarray:
+    """Unit vectors, of cols' dtype, completing `cols` to a basis of GF(p)^n.
+
+    `cols` must be the identity on the rows of each column's first nonzero
+    entry (last, with `last`): a reduced column echelon (nullspace) basis.
+    """
+    n = cols.shape[0]
+    nonzero = cols != 0
+    pivots = n - 1 - nonzero[::-1].argmax(axis=0) if last else nonzero.argmax(axis=0)
+    keep = np.ones(n, dtype=bool)
+    keep[pivots] = False
+    return np.eye(n, dtype=cols.dtype)[:, keep]
 
 
-def _wong_certificate(pencil: ConstPencil, B: np.ndarray, rho: int) -> Certificate | None:
-    """Try to build a certificate from substitution point B of rank rho.
+def _wong_certificate(pencil: ConstPencil, reduced: tuple) -> Certificate | None:
+    """Try to build a certificate from ``reduced = mod_rref(B, p, transform=True)``.
 
-    Returns None when the Wong sequence escapes the image of B, read off the
-    preimage each step takes anyway: dim B^-1(W) = n - rho + dim W exactly
-    when W lies in im B.  The sequence is monotone, so a step that keeps the
-    dimension adds nothing to check.  Whenever a certificate is returned it
-    is exact: its value both upper-bounds nc-rank (validity) and
-    lower-bounds it (equals rank B), so no luck is involved.
+    With E B = R of rank rho, every step reads B^-1(W) = ker B + X_W off
+    that one reduction: X_W holds (E W)[:rho] at B's pivot rows, and W
+    escapes im B, returning None, exactly when (E W)[rho:] is nonzero.  The
+    sequence is monotone, so a step that keeps the dimension adds nothing to
+    check.  A returned certificate is exact: its value both upper-bounds
+    nc-rank (validity) and lower-bounds it (equals rank B).
 
-    The certificate is verified before it is returned.  Its zero block
-    S[:r] B_k T[:, n-s:] is left^T B_k U, checked as left^T times the columns
-    B_k u that the last Wong step already formed; S and T are checked
-    invertible by rank, and the value against 2n - r - s and rank B.
+    It is verified first: the value against 2n - r - s and rank B, and the
+    zero block S[:r] B_k T[:, n-s:] as left^T times the columns B_k u that
+    the last Wong step already formed.  S and T are invertible by
+    construction, through :func:`_unit_completion`.
     """
     p, n = pencil.p, pencil.n
     stack = pencil.stack
+    R, E, rho, pivots = reduced
+    kernel = _rref_kernel(R, pivots, p)
+    U = mod_column_space(kernel, p)
     W = np.zeros((n, 0), dtype=stack.dtype)
-    U = mod_preimage(B, W, p)
     for _ in range(n + 2):
         flat = _span_columns(stack, U, p)  # every B_k u, u in U
         Wn = mod_column_space(flat, p)
         if Wn.shape[1] == W.shape[1]:
             break
         W = Wn
-        U = mod_preimage(B, W, p)
-        if U.shape[1] != n - rho + W.shape[1]:  # W escapes im B
+        EW = mod_matmul(E, W, p)
+        if np.any(EW[rho:]):  # W escapes im B
             return None
+        X = np.zeros_like(EW)
+        X[list(pivots)] = EW[:rho]  # B X = W
+        U = mod_column_space(np.concatenate([kernel, X], axis=1), p)
     else:  # pragma: no cover - monotone dims stabilize within n steps
         raise AssertionError("Wong sequence failed to stabilize")
 
-    # T: last s columns span U;  S: first r rows annihilate sum_k B_k U
-    T = np.concatenate([_complete_basis(U, p), U], axis=1)
+    # S: first r rows annihilate sum_k B_k U;  T: last s columns span U
     left = mod_nullspace(Wn.T, p)  # columns x with x . w = 0 for w in the span
-    S = np.concatenate([left, _complete_basis(left, p)], axis=1).T
     r, s = left.shape[1], U.shape[1]
-    if (2 * n - r - s != rho or np.any(mod_matmul(left.T, flat, p))
-            or mod_rank(S, p) != n or mod_rank(T, p) != n):
+    if 2 * n - r - s != rho or np.any(mod_matmul(left.T, flat, p)):
         raise AssertionError("constructed certificate failed verification")
+    S = np.concatenate([left, _unit_completion(left, last=True)], axis=1).T
+    T = np.concatenate([_unit_completion(U), U], axis=1)
     S.flags.writeable = T.flags.writeable = False
     return Certificate(S, T, r, s, rho)
 
@@ -195,8 +207,8 @@ def solve_R(pencil: ConstPencil, seed: int) -> Certificate:
     best_rank = -1
     for _ in range(3 * n):
         lam = rng.integers(0, p, size=m)
-        B = pencil.substitute(lam[live])
-        rank = mod_rank(B, p)
+        reduced = mod_rref(pencil.substitute(lam[live]), p, transform=True)
+        rank = reduced[2]
         if rank == n:
             ident = np.eye(n, dtype=pencil.stack.dtype)
             ident.flags.writeable = False
@@ -204,7 +216,7 @@ def solve_R(pencil: ConstPencil, seed: int) -> Certificate:
         if rank < best_rank:
             continue
         best_rank = rank
-        cert = _wong_certificate(pencil, B, rank)
+        cert = _wong_certificate(pencil, reduced)
         if cert is not None:
             return cert
     raise NcRankGapError(

@@ -4,7 +4,10 @@
 gathers, and `_wong_certificate` verifies its zero block from the columns the
 Wong sequence already formed.  Both are checked here against the plain
 definitions: a reference step built from two full products, and the full
-`Certificate.check` on every certificate the oracle hands out.
+`Certificate.check` on every certificate the oracle hands out.  The oracle's
+shortcuts are checked too: the unit-vector completion of S and T, and the
+escape test read off the one reduction of B, against a Wong sequence that
+eliminates for every preimage.
 """
 
 import numpy as np
@@ -14,8 +17,10 @@ from degdet import (ConstPencil, LaurentMatrix, LaurentPencil, SolveOptions, gen
                     gen_dense, gen_rank1, random_bipartite_weights, solve, solve_R,
                     step_update)
 from degdet import field_linalg, ncrank, solver
-from degdet.errors import PositiveDegreeError
-from degdet.field_linalg import as_residues, mod_inverse_matrix, mod_matmul, mod_rank
+from degdet.errors import NcRankGapError, PositiveDegreeError
+from degdet.field_linalg import (_dtype_for, _span_columns, as_residues, mod_column_space,
+                                 mod_inverse_matrix, mod_matmul, mod_nullspace, mod_preimage,
+                                 mod_rank, mod_rref)
 
 PRIMES = [5, 2**31 - 1, 2**61 - 1]  # the last one runs on object arrays
 
@@ -28,14 +33,19 @@ def random_invertible(rng, n, p):
 
 
 def wong_shaped(rng, n, r, s, p):
-    """S with r dense rows over identity picks, T with s dense columns after them."""
+    """S with r dense rows over unit rows, T with s dense columns after unit columns.
+
+    `left` is a nullspace basis and U a reduced column echelon basis, both
+    completed by unit vectors as the oracle completes them.
+    """
     while True:
-        left = as_residues(rng.integers(0, min(p, 2**62), size=(n, r)), p)
-        U = as_residues(rng.integers(0, min(p, 2**62), size=(n, s)), p)
-        if mod_rank(left, p) == r and mod_rank(U, p) == s:
+        A = as_residues(rng.integers(0, min(p, 2**62), size=(n - r, n)), p)
+        U = mod_column_space(as_residues(rng.integers(0, min(p, 2**62), size=(n, s)), p), p)
+        if mod_rank(A, p) == n - r and U.shape[1] == s:
             break
-    S = np.concatenate([left, ncrank._complete_basis(left, p)], axis=1).T
-    T = np.concatenate([ncrank._complete_basis(U, p), U], axis=1)
+    left = mod_nullspace(A, p)
+    S = np.concatenate([left, ncrank._unit_completion(left, last=True)], axis=1).T
+    T = np.concatenate([ncrank._unit_completion(U), U], axis=1)
     return S, T
 
 
@@ -130,6 +140,87 @@ def test_tampered_wong_step_fails_verification(monkeypatch):
     monkeypatch.setattr(ncrank, "mod_nullspace", tampered)
     with pytest.raises(AssertionError, match="failed verification"):
         solve_R(pencil, seed=1)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_unit_completion_of_echelon_and_nullspace_bases_is_invertible(p):
+    rng = np.random.default_rng(p % 1000 + 7)
+    for n in range(1, 7):
+        for k in range(n + 1):
+            mask = rng.random((n, k)) < 0.6  # sparse inputs vary the pivot rows
+            A = as_residues(rng.integers(0, min(p, 2**62), size=(n, k)) * mask, p)
+            for cols, last in ((mod_column_space(A, p), False), (mod_nullspace(A.T, p), True)):
+                full = np.concatenate([cols, ncrank._unit_completion(cols, last=last)], axis=1)
+                assert full.shape == (n, n) and full.dtype == _dtype_for(p)
+                assert mod_rank(full, p) == n, (n, k, last)
+
+
+def reference_wong(pencil, B, rho):
+    """T's last s columns by a fresh preimage elimination per step, or None
+    when a preimage comes out short of n - rho + dim W (W escapes im B)."""
+    p, n = pencil.p, pencil.n
+    W = np.zeros((n, 0), dtype=pencil.stack.dtype)
+    U = mod_preimage(B, W, p)
+    while True:
+        Wn = mod_column_space(_span_columns(pencil.stack, U, p), p)
+        if Wn.shape[1] == W.shape[1]:
+            return U
+        W = Wn
+        U = mod_preimage(B, W, p)
+        if U.shape[1] != n - rho + W.shape[1]:
+            return None
+
+
+@pytest.mark.parametrize("p", [5, 7, 2**61 - 1])
+def test_escape_read_off_e_times_w_agrees_with_the_preimage_dimension(p, skew3):
+    rng = np.random.default_rng(p % 1000 + 3)
+    skew = ConstPencil(p, np.stack([np.array(m) for m in skew3]))
+    pencils = [skew] + [hidden_block_pencil(rng, n, 3, r0, s0, p)
+                        for n, r0, s0 in ((3, 2, 2), (4, 2, 3), (5, 3, 3), (6, 2, 5))]
+    escaped = trapped = 0
+    for pencil in pencils:
+        for _ in range(12):
+            # a sparse point often drops B below the maximum rank, so W escapes
+            lam = rng.integers(0, p, size=pencil.m) * (rng.random(pencil.m) < 0.7)
+            B = pencil.substitute(lam)
+            reduced = mod_rref(B, p, transform=True)
+            if reduced[2] == pencil.n:
+                continue
+            want = reference_wong(pencil, B, reduced[2])
+            got = ncrank._wong_certificate(pencil, reduced)
+            assert (got is None) == (want is None)
+            if got is None:
+                escaped += 1
+            else:
+                trapped += 1
+                assert np.array_equal(got.T[:, pencil.n - got.s:], want)
+    assert escaped and trapped
+    with pytest.raises(NcRankGapError):
+        solve_R(skew, seed=0)
+
+
+# (r, s) of solve_R(hidden_block_pencil(...), seed=n), drawn in this order
+# from default_rng(p % 1009); unit-vector completion must not move them
+HIDDEN_BLOCK_SHAPES = ((3, 2, 2, 2), (4, 3, 1, 3), (5, 3, 3, 3), (6, 2, 2, 5), (6, 4, 4, 4),
+                       (7, 3, 5, 4), (8, 4, 4, 6))
+HIDDEN_BLOCK_RS = {
+    5: [(3, 1), (0, 4), (3, 3), (2, 5), (4, 4), (5, 4), (4, 6)],
+    7: [(2, 2), (0, 4), (3, 3), (4, 3), (4, 4), (5, 4), (4, 6)],
+    2**31 - 1: [(2, 2), (0, 4), (3, 3), (2, 5), (4, 4), (5, 4), (4, 6)],
+    2**61 - 1: [(2, 2), (0, 4), (3, 3), (2, 5), (4, 4), (5, 4), (4, 6)],
+}
+
+
+@pytest.mark.parametrize("p", sorted(HIDDEN_BLOCK_RS))
+def test_hidden_block_pencils_keep_their_certificate_shapes(p):
+    rng = np.random.default_rng(p % 1009)
+    got = []
+    for n, m, r0, s0 in HIDDEN_BLOCK_SHAPES:
+        pencil = hidden_block_pencil(rng, n, m, r0, s0, p)
+        cert = solve_R(pencil, seed=n)
+        assert cert.check(pencil)
+        got.append((cert.r, cert.s))
+    assert got == HIDDEN_BLOCK_RS[p]
 
 
 def test_every_oracle_certificate_passes_the_full_check(monkeypatch):
