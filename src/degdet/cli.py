@@ -166,7 +166,8 @@ def _solve_any(inst, opts: SolveOptions) -> dict:
             "shift_applied": rep.shift_applied,
             "used_blowup_fallback": rep.used_blowup_fallback,
             "singular_certificate": (None if witness is None else
-                                     {"r": witness.r, "s": witness.s}),
+                                     {"r": witness.r, "s": witness.s,
+                                      "S": witness.S.tolist(), "T": witness.T.tolist()}),
             "timing": {"total_s": time.perf_counter() - started,
                        "phases_s": list(rep.phase_seconds)},
         }

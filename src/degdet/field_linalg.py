@@ -214,27 +214,6 @@ def _span_columns(stack: np.ndarray, ubasis: np.ndarray, p: int) -> np.ndarray:
     return prods.transpose(1, 0, 2).reshape(n, m * u)
 
 
-def _mod_sandwich(S: np.ndarray, X: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
-    """S @ X[k] @ T mod p for every k of a (K, n, n) stack X.
-
-    A row of S that is a unit vector picks a row of X, and a column of T that
-    is a unit vector picks a column; only the other rows and columns go
-    through :func:`mod_matmul`.  Residues are nonnegative, so a line summing
-    to exactly 1 is a unit vector and ``argmax`` finds its 1.  A certificate
-    made of identity picks plus r dense rows and s dense columns thus costs
-    K n^2 (r + s) multiply-adds instead of 2 K n^3.
-    """
-    dense = np.flatnonzero(S.sum(axis=1) != 1)
-    mid = X[:, S.argmax(axis=1), :]
-    if dense.size:
-        mid[:, dense, :] = mod_matmul(S[dense], X, p)
-    dense = np.flatnonzero(T.sum(axis=0) != 1)
-    out = mid[:, :, T.argmax(axis=0)]
-    if dense.size:
-        out[:, :, dense] = mod_matmul(mid, T[:, dense], p)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Public wrappers
 

@@ -1,11 +1,14 @@
 """Truncated Laurent-coefficient matrix pencils with all degrees <= 0.
 
-A pencil sum_k B_k x_k, B_k = sum_d B_{k,d} t^d over GF(p), is one slab
-store: a read-only (K, n, n) array of the nonzero B_{k,d} and (K,) arrays
-naming each slab's term k and degree d, no pair twice.  The solver's four
-moves are index operations on it that return a new pencil: certificate
-updates (row lift / column drop), t -> t^2, t^-1 on chosen terms, and
-truncation of deep slabs.  :func:`leading` gathers the degree-0 slabs as a
+A pencil sum_k B_k x_k, B_k = sum_d B_{k,d} t^d over GF(p), is one entry
+store: five read-only (E,) arrays giving each nonzero entry of every B_{k,d}
+as its term k, degree d, row, column and value, no (k, d, row, column) key
+twice.  The solver's four moves return a new pencil.  A certificate update
+(row lift / column drop) moves the entries that a unit row of S or a unit
+column of T picks to their new row or column, and multiplies only the lines
+that meet S's other rows and T's other columns; t -> t^2 and t^-1 on chosen
+terms map the degrees, and truncation drops the deep entries.
+:func:`leading` scatters the degree-0 entries into a
 :class:`~degdet.ncrank.ConstPencil`, the constant-pencil type the
 certificate oracle takes.  :class:`LaurentMatrix` is the per-term view
 (:attr:`LaurentPencil.terms`, :meth:`LaurentPencil.from_terms`).
@@ -19,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, PositiveDegreeError, SizeLimitError
-from .field_linalg import _dtype_for, _mod_sandwich, as_residues
+from .field_linalg import _dtype_for, as_residues, mod_matmul
 from .ncrank import ConstPencil
 
 
@@ -95,29 +98,31 @@ class LaurentMatrix:
 
 @dataclass(frozen=True, eq=False)
 class LaurentPencil:
-    """The full symbolic matrix as a slab store, slabs in (term, degree) order."""
+    """The full symbolic matrix as an entry store, entries in no fixed order."""
 
     p: int
     n: int
     m: int
-    coeffs: np.ndarray  # (K, n, n) nonzero residues
-    term: np.ndarray  # (K,) int64 in range(m)
-    degree: np.ndarray  # (K,) int64, <= 0
+    term: np.ndarray  # (E,) int64 in range(m)
+    degree: np.ndarray  # (E,) int64, <= 0
+    row: np.ndarray  # (E,) int64 in range(n)
+    col: np.ndarray  # (E,) int64 in range(n)
+    value: np.ndarray  # (E,) nonzero residues
 
     @classmethod
-    def _wrap(cls, p: int, n: int, m: int, coeffs: np.ndarray, term: np.ndarray,
-              degree: np.ndarray) -> "LaurentPencil":
+    def _wrap(cls, p: int, n: int, m: int, term: np.ndarray, degree: np.ndarray,
+              row: np.ndarray, col: np.ndarray, value: np.ndarray) -> "LaurentPencil":
         # internal fast path; degrees >= -2^61 keep t -> t^2 and t^-1 inside int64
         if degree.size and degree.min() < -2**61:
             raise SizeLimitError("pencil degree below -2^61: costs this large need truncation")
-        for arr in (coeffs, term, degree):
+        for arr in (term, degree, row, col, value):
             arr.flags.writeable = False
-        return cls(p, n, m, coeffs, term, degree)
+        return cls(p, n, m, term, degree, row, col, value)
 
     @classmethod
     def from_constants(cls, p: int, mats: Sequence, degrees: Sequence[int] | None = None
                        ) -> "LaurentPencil":
-        """B_k = mats[k] t^degrees[k] (degree 0 by default); zero matrices store nothing."""
+        """B_k = mats[k] t^degrees[k] (degree 0 by default); zero entries store nothing."""
         stack = as_residues(mats, p)
         m, n = len(stack), stack.shape[-1]
         degree = np.zeros(m, np.int64) if degrees is None else np.array(degrees, np.int64)
@@ -125,8 +130,8 @@ class LaurentPencil:
             raise DimensionMismatchError(f"need m n x n matrices and m degrees, got {stack.shape}")
         if np.any(degree > 0):
             raise PositiveDegreeError("coefficient stored at positive degree")
-        live = np.flatnonzero(stack.any(axis=(1, 2)))
-        return cls._wrap(p, n, m, stack if len(live) == m else stack[live], live, degree[live])
+        term, row, col = np.nonzero(stack)
+        return cls._wrap(p, n, m, term, degree[term], row, col, stack[term, row, col])
 
     @classmethod
     def from_terms(cls, p: int, n: int, terms: Sequence[LaurentMatrix]) -> "LaurentPencil":
@@ -135,24 +140,78 @@ class LaurentPencil:
             raise DimensionMismatchError("pencil terms disagree on modulus or size")
         keys = [(k, d) for k, mat in enumerate(terms) for d in mat.degrees()]
         slabs = [terms[k].coeffs[d] for k, d in keys]
-        coeffs = np.stack(slabs) if slabs else np.zeros((0, n, n), dtype=_dtype_for(p))
-        term, degree = np.array(keys, dtype=np.int64).reshape(-1, 2).T
-        return cls._wrap(p, n, len(terms), coeffs, term, degree)
+        stack = np.stack(slabs) if slabs else np.zeros((0, n, n), dtype=_dtype_for(p))
+        slab, row, col = np.nonzero(stack)
+        term, degree = np.array(keys, dtype=np.int64).reshape(-1, 2)[slab].T
+        return cls._wrap(p, n, len(terms), term, degree, row, col, stack[slab, row, col])
 
     @property
     def terms(self) -> tuple[LaurentMatrix, ...]:
-        """Per-term read view; each LaurentMatrix holds the stored slabs, not copies."""
+        """Per-term read view; each LaurentMatrix holds slabs filled from the entries."""
+        (term, degree, _), slab = _line_ids(self.term, self.degree, np.zeros_like(self.row),
+                                             self.m, 1)
+        slabs = np.zeros((len(term), self.n, self.n), dtype=self.value.dtype)
+        slabs[slab, self.row, self.col] = self.value
+        slabs.flags.writeable = False
         views: list[dict[int, np.ndarray]] = [{} for _ in range(self.m)]
-        for k, d, slab in zip(self.term.tolist(), self.degree.tolist(), self.coeffs):
-            views[k][d] = slab
+        for k, d, mat in zip(term.tolist(), degree.tolist(), slabs):
+            views[k][d] = mat
         return tuple(LaurentMatrix._wrap(self.p, self.n, view) for view in views)
+
+
+def _line_ids(term: np.ndarray, degree: np.ndarray, line: np.ndarray, m: int, n: int
+              ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """The distinct (term, degree, line) keys, line in range(n), and each entry's
+    index among them, by one sort of the keys packed into int64 codes."""
+    low = int(degree.min(initial=0))
+    levels = None
+    if (int(degree.max(initial=0)) - low + 1) * m * n < 2**62:
+        level = degree - low
+    else:  # degrees too far apart to pack: pack their ranks
+        levels, level = np.unique(degree, return_inverse=True)
+    codes, ids = np.unique((level * m + term) * n + line, return_inverse=True)
+    level, rest = np.divmod(codes, m * n)
+    return (rest // n, level + low if levels is None else levels[level], rest % n), ids
+
+
+def _mix(M: np.ndarray, m: int, term: np.ndarray, degree: np.ndarray, a: np.ndarray,
+         b: np.ndarray, value: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
+    """Entries of M X for the pencil X with entries (term, degree, a, b, value).
+
+    A row i of M that is a unit vector e_j, and the only one picking j, moves
+    the entries at a == j to a == i.  Residues are nonnegative, so a row
+    summing to exactly 1 is a unit vector and ``argmax`` finds its 1.  The
+    other rows take one :func:`mod_matmul` over the lines (term, degree, b)
+    that meet their support, so a certificate of unit picks plus r dense
+    rows costs (lines) * n * r multiply-adds.  Moved and multiplied entries
+    land on distinct rows, so no key appears twice.
+    """
+    n = len(M)
+    pick = M.argmax(axis=1)
+    unit = M.sum(axis=1) == 1
+    unit &= np.bincount(pick[unit], minlength=n)[pick] == 1
+    to = np.full(n, -1)
+    to[pick[unit]] = np.flatnonzero(unit)
+    dense = np.flatnonzero(~unit)
+    if not dense.size:  # a permutation moves every entry
+        return term, degree, to[a], b, value
+    moved = to[a] >= 0
+    meet = M[dense].any(axis=0)[a]
+    (lt, ld, lb), line = _line_ids(term[meet], degree[meet], b[meet], m, n)
+    lines = np.zeros((len(lt), n), dtype=value.dtype)
+    lines[line, a[meet]] = value[meet]
+    prod = mod_matmul(lines, M[dense].T, p)
+    g, i = np.nonzero(prod)
+    return tuple(np.concatenate(pair) for pair in zip(
+        (term[moved], degree[moved], to[a[moved]], b[moved], value[moved]),
+        (lt[g], ld[g], dense[i], lb[g], prod[g, i])))
 
 
 def leading(pencil: LaurentPencil) -> ConstPencil:
     """The constant pencil of degree-0 coefficients (zero where a term has none)."""
     stack = np.zeros((pencil.m, pencil.n, pencil.n), dtype=_dtype_for(pencil.p))
     top = pencil.degree == 0
-    stack[pencil.term[top]] = pencil.coeffs[top]
+    stack[pencil.term[top], pencil.row[top], pencil.col[top]] = pencil.value[top]
     return ConstPencil._wrap(pencil.p, stack)
 
 
@@ -165,39 +224,26 @@ def step_update(pencil: LaurentPencil, S: np.ndarray, T: np.ndarray,
     r x s block for every k; a nonzero entry there would land at degree +1
     and raises :class:`PositiveDegreeError`.
     """
-    n = pencil.n
+    n, m, p = pencil.n, pencil.m, pencil.p
     if not (0 <= r <= n and 0 <= s <= n):
         raise DimensionMismatchError(f"block sizes r={r}, s={s} out of range for n={n}")
     if S.shape != (n, n) or T.shape != (n, n):
         raise DimensionMismatchError("S and T must be n x n")
-    cut = n - s
-    mid = _mod_sandwich(S, pencil.coeffs, T, pencil.p)
-    # each slab's four blocks, with the degree shift each one takes
-    blocks = ((np.s_[:r], np.s_[cut:], 1), (np.s_[:r], np.s_[:cut], 0),
-              (np.s_[r:], np.s_[cut:], 0), (np.s_[r:], np.s_[:cut], -1))
-    live = [mid[:, rows, cols].any(axis=(1, 2)) for rows, cols, _ in blocks]
-    # sort the target (term, degree) of each nonzero block; equal ones share a slot
-    term = np.concatenate([pencil.term[nz] for nz in live])
-    degree = np.concatenate([pencil.degree[nz] + shift for nz, (_, _, shift) in zip(live, blocks)])
-    if degree.max(initial=0) > 0:  # only a lifted block of a degree-0 slab gets here
+    term, degree, row, col, value = _mix(S, m, pencil.term, pencil.degree, pencil.row,
+                                         pencil.col, pencil.value, p)
+    # X T mixes the columns of X by the rows of T^T
+    term, degree, col, row, value = _mix(T.T, m, term, degree, col, row, value, p)
+    # each block's degree shift: +1 upper right, 0 off-diagonal, -1 lower left
+    degree = degree + (row < r) - (col < n - s)
+    if degree.max(initial=0) > 0:  # only a lifted entry of degree 0 gets here
         raise PositiveDegreeError("certificate zero-block violated: entries would reach degree +1")
-    order = np.lexsort((degree, term))
-    term, degree = term[order], degree[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (term[1:] != term[:-1]) | (degree[1:] != degree[:-1])
-    where = (np.cumsum(first) - 1)[np.argsort(order)]
-    out = np.zeros((int(first.sum()), n, n), dtype=mid.dtype)
-    # distinct slabs land in distinct slots, and a slot's four blocks are disjoint
-    bounds = np.cumsum([0] + [int(nz.sum()) for nz in live]).tolist()
-    for nz, (rows, cols, _), lo, hi in zip(live, blocks, bounds, bounds[1:]):
-        out[where[lo:hi], rows, cols] = mid[nz, rows, cols]
-    return LaurentPencil._wrap(pencil.p, n, pencil.m, out, term[first], degree[first])
+    return LaurentPencil._wrap(p, n, m, term, degree, row, col, value)
 
 
 def square_substitute(pencil: LaurentPencil) -> LaurentPencil:
     """t -> t**2 on every term: every degree doubles."""
-    return LaurentPencil._wrap(pencil.p, pencil.n, pencil.m, pencil.coeffs, pencil.term,
-                               2 * pencil.degree)
+    return LaurentPencil._wrap(pencil.p, pencil.n, pencil.m, pencil.term, 2 * pencil.degree,
+                               pencil.row, pencil.col, pencil.value)
 
 
 def scale_tinv(pencil: LaurentPencil, which: Sequence[int]) -> LaurentPencil:
@@ -205,8 +251,9 @@ def scale_tinv(pencil: LaurentPencil, which: Sequence[int]) -> LaurentPencil:
     bits = np.asarray(which)
     if bits.shape != (pencil.m,) or not ((bits == 0) | (bits == 1)).all():
         raise DimensionMismatchError("which must be a 0/1 vector with one entry per term")
-    return LaurentPencil._wrap(pencil.p, pencil.n, pencil.m, pencil.coeffs, pencil.term,
-                               pencil.degree - (bits == 1)[pencil.term])
+    return LaurentPencil._wrap(pencil.p, pencil.n, pencil.m, pencil.term,
+                               pencil.degree - (bits == 1)[pencil.term], pencil.row,
+                               pencil.col, pencil.value)
 
 
 def truncate(pencil: LaurentPencil, depth: int) -> LaurentPencil:
@@ -216,5 +263,5 @@ def truncate(pencil: LaurentPencil, depth: int) -> LaurentPencil:
     keep = pencil.degree > -depth
     if keep.all():
         return pencil
-    return LaurentPencil._wrap(pencil.p, pencil.n, pencil.m, pencil.coeffs[keep],
-                               pencil.term[keep], pencil.degree[keep])
+    return LaurentPencil._wrap(pencil.p, pencil.n, pencil.m, *(
+        arr[keep] for arr in (pencil.term, pencil.degree, pencil.row, pencil.col, pencil.value)))

@@ -8,9 +8,9 @@ is the maximum weight of a consistent perfect 2-matching, so the witness for
 the solver's value is a perfect 2-matching that weighs it and passes
 :func:`is_consistent`.  The scan lists each perfect 2-matching once, on the
 blocks tight in the final pencil PAQ, shrunk first: dropping blocks while a
-substitution of the other degree-0 slabs stays full rank leaves PA'Q proper,
-so deg Det A' = deg Det A.  It is still exponential in the number of tight
-2-matchings at worst; no polynomial bound is claimed.
+substitution of the other degree-0 coefficients stays full rank leaves PA'Q
+proper, so deg Det A' = deg Det A.  It is still exponential in the number of
+tight 2-matchings at worst; no polynomial bound is claimed.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import DimensionMismatchError, ExtractionFailedError, SizeLimitErro
 from .field_linalg import mod_rank
 from .infinity import MINUS_INFINITY, MinusInfinity, is_minus_infinity
 from .instances import Instance, PartitionedInstance
+from .laurent import leading
 from .solver import SolveOptions, solve_with_final_pencil
 
 #: largest n that :func:`enumerate_perfect` enumerates
@@ -158,12 +159,12 @@ def solve_and_extract(part: PartitionedInstance, opts: SolveOptions | None = Non
     report, pencil = solve_with_final_pencil(to_instance(part), opts)
     if is_minus_infinity(value := report.value):
         return MINUS_INFINITY, None
-    # the tight blocks (a degree-0 slab), less each one whose removal keeps a
-    # random substitution of the remaining degree-0 slabs full rank
-    tight = pencil.degree == 0
-    cells = [edges[k] for k in pencil.term[tight]]
+    # the tight blocks (a degree-0 entry), in term order, less each one whose
+    # removal keeps a random substitution of the remaining ones full rank
+    tight = np.unique(pencil.term[pencil.degree == 0])
+    cells = [edges[k] for k in tight]
     lam = np.random.default_rng(np.random.SeedSequence((opts.seed, 0x2B))).integers(1, p, len(cells))
-    terms = [int(c) * slab % p for c, slab in zip(lam, pencil.coeffs[tight])]
+    terms = [int(c) * slab % p for c, slab in zip(lam, leading(pencil).stack[tight])]
     acc, kept = sum(terms) % p, []
     for cell, term in zip(cells, terms):
         if mod_rank(rest := (acc - term) % p, p) == pencil.n:

@@ -68,6 +68,26 @@ def test_solve_singular_prints_minus_inf(capsys, tmp_path):
     assert json.loads(out)["value"] == "-inf"
 
 
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_singular_witness_printed_by_the_cli_passes_the_certificate_check(
+        capsys, tmp_path, command):
+    import numpy as np
+    from degdet import Certificate, ConstPencil
+    path, _ = gen_file(capsys, tmp_path, "bipartite", "--n", "5", "--density", "0.4",
+                       "--seed", "3")
+    code, out = run_cli(capsys, command, str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["value"] == "-inf"
+    witness = doc["singular_certificate"]
+    inst = instances.load(path.read_bytes())
+    assert 0 < witness["r"] < inst.n and 0 < witness["s"] < inst.n
+    assert witness["r"] + witness["s"] > inst.n
+    cert = Certificate(np.array(witness["S"]), np.array(witness["T"]), witness["r"],
+                       witness["s"], 2 * inst.n - witness["r"] - witness["s"])
+    assert cert.check(ConstPencil(inst.p, inst.stack))
+
 def test_solve_deterministic_reports(capsys, tmp_path):
     path, _ = gen_file(capsys, tmp_path, "dense", "--n", "3", "--m", "3", "--seed", "5")
     _, out1 = run_cli(capsys, "solve", str(path), "--seed", "3")

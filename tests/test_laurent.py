@@ -61,7 +61,7 @@ def test_step_update_drops_column():
 def test_step_update_on_a_pencil_without_slabs():
     pen = pencil({}, {})
     out = step_update(pen, I2, I2, 1, 1)
-    assert out.terms == pen.terms and out.coeffs.shape == (0, 2, 2)
+    assert out.terms == pen.terms and out.value.shape == (0,)
 
 
 def test_step_update_refuses_a_non_square_transform():
@@ -215,18 +215,21 @@ def solve_pencils(p):
 
 @pytest.mark.parametrize("p", [5, P, 2**61 - 1])
 def test_slab_store_invariants_on_solver_pencils(p):
+    # invariants of the entry store: five read-only (E,) arrays
     pencils = solve_pencils(p)
     assert len(pencils) > 20
     rng = np.random.default_rng(p % 1009)
     for pen in pencils:
-        K = len(pen.degree)
-        assert pen.coeffs.shape == (K, pen.n, pen.n) and pen.term.shape == (K,)
-        assert pen.coeffs.dtype == (np.int64 if p <= P else object)
-        assert not pen.coeffs.flags.writeable
-        assert pen.coeffs.reshape(K, -1).any(axis=1).all()  # no all-zero slab
-        assert len(set(zip(pen.term.tolist(), pen.degree.tolist()))) == K
+        arrays = (pen.term, pen.degree, pen.row, pen.col, pen.value)
+        E = len(pen.value)
+        assert all(arr.shape == (E,) and not arr.flags.writeable for arr in arrays)
+        assert pen.value.dtype == (np.int64 if p <= P else object)
+        assert all(0 < v < p for v in pen.value.tolist())
+        keys = set(zip(pen.term.tolist(), pen.degree.tolist(), pen.row.tolist(), pen.col.tolist()))
+        assert len(keys) == E
         assert np.all(pen.degree <= 0)
         assert np.all((0 <= pen.term) & (pen.term < pen.m))
+        assert np.all((0 <= pen.row) & (pen.row < pen.n) & (0 <= pen.col) & (pen.col < pen.n))
         assert LaurentPencil.from_terms(p, pen.n, pen.terms).terms == pen.terms
         which = rng.integers(0, 2, size=pen.m)
         moved = scale_tinv(pen, which).terms

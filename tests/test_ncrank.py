@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import degdet.field_linalg as field_linalg
+import degdet.solver as solver
 from degdet import (DEFAULT_PRIME, ConstPencil, LaurentPencil, SolveOptions, build_blowup,
                     gen_bipartite, is_nc_nonsingular, leading, solve, solve_R)
 from degdet.errors import DimensionMismatchError, NcRankGapError
@@ -251,6 +252,24 @@ def test_bipartite_n16_solve_stays_under_three_million_matmul_macs(monkeypatch):
     report = solve(gen_bipartite(costs.tolist()), SolveOptions(seed=0))
     assert (report.value, report.oracle_calls) == (13260670, 54)
     assert sum(macs) <= 3_000_000, sum(macs)
+
+
+def test_bipartite_n16_solve_pencils_store_at_most_m_entries(monkeypatch):
+    # The solve of the MAC guard above.  Its certificates are permutations,
+    # so every pencil step_update returns keeps the m = 256 nonzero entries
+    # of the E_ij terms; a slab store held 256 x 256 cells here.
+    real, stored = solver.step_update, []
+
+    def recording(*args):
+        out = real(*args)
+        stored.append(len(out.value))
+        return out
+
+    monkeypatch.setattr(solver, "step_update", recording)
+    costs = np.random.default_rng(116).integers(-10**6, 10**6, (16, 16))
+    report = solve(gen_bipartite(costs.tolist()), SolveOptions(seed=0))
+    assert (report.value, report.oracle_calls) == (13260670, 54)
+    assert stored and max(stored) <= 256, max(stored)
 
 
 @pytest.mark.parametrize("p", [5, P, 2**61 - 1])

@@ -1,7 +1,8 @@
-"""The certificate step: the gathered sandwich, the fused zero-block check.
+"""The certificate step: the entry remap, the fused zero-block check.
 
-`step_update` forms S B T with unit rows of S and unit columns of T taken as
-gathers, and `_wong_certificate` verifies its zero block from the columns the
+`step_update` forms S B T on the entry store, moving the entries that unit
+rows of S and unit columns of T pick and multiplying only the other lines,
+and `_wong_certificate` verifies its zero block from the columns the
 Wong sequence already formed.  Both are checked here against the plain
 definitions: a reference step built from two full products, and the full
 `Certificate.check` on every certificate the oracle hands out.  The oracle's
@@ -16,7 +17,7 @@ import pytest
 from degdet import (ConstPencil, LaurentMatrix, LaurentPencil, SolveOptions, gen_bipartite,
                     gen_dense, gen_rank1, random_bipartite_weights, solve, solve_R,
                     step_update)
-from degdet import field_linalg, ncrank, solver
+from degdet import laurent, ncrank, solver
 from degdet.errors import NcRankGapError, PositiveDegreeError
 from degdet.field_linalg import (_dtype_for, _span_columns, as_residues, mod_column_space,
                                  mod_inverse_matrix, mod_matmul, mod_nullspace, mod_preimage,
@@ -101,6 +102,37 @@ def test_step_update_matches_full_products(p, shape):
                 got = step_update(pencil, S, T, r, s)
                 assert got.terms == reference_step(pencil, S, T, r, s).terms, (n, r, s)
 
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_step_update_matches_full_products_at_degrees_far_apart(p):
+    # degrees 2^61 apart do not pack into one int64 line key together with the
+    # term and the line, so lines are grouped by the rank of their degree
+    rng = np.random.default_rng(p % 1000 + 21)
+    n = 3
+    S, T = random_invertible(rng, n, p), random_invertible(rng, n, p)
+    terms = tuple(LaurentMatrix(p, n, {d: rng.integers(1, min(p, 2**62), size=(n, n))})
+                  for d in (-1, -2**61))
+    pencil = LaurentPencil.from_terms(p, n, terms)
+    assert pencil.terms == terms
+    got = step_update(pencil, S, T, 0, n)
+    assert got.terms == reference_step(pencil, S, T, 0, n).terms
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_step_update_matches_full_products_when_unit_rows_repeat(p):
+    # a singular S or T may pick one row or column twice; only a unit line
+    # whose pick is its own may move entries, the others are multiplied
+    rng = np.random.default_rng(p % 1000 + 23)
+    dtype = _dtype_for(p)
+    for n in (2, 3, 5):
+        for _ in range(10):
+            S = np.eye(n, dtype=dtype)[rng.integers(0, n, n)]
+            T = np.eye(n, dtype=dtype)[:, rng.integers(0, n, n)]
+            ident = np.eye(n, dtype=dtype)
+            pencil = random_pencil(rng, n, 3, p, ident, ident, 0, n)
+            got = step_update(pencil, S, T, 0, n)
+            assert got.terms == reference_step(pencil, S, T, 0, n).terms, (n, S, T)
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_step_update_rejects_a_nonzero_block_like_the_reference(p):
@@ -249,7 +281,8 @@ def test_every_oracle_certificate_passes_the_full_check(monkeypatch):
 
 
 def test_wong_step_update_multiplies_only_the_dense_rows_and_columns(monkeypatch):
-    """The sandwich must not fall back to two full n x n products per slab."""
+    """Unit rows of S and unit columns of T only move entries; the other rows and
+    columns take one product each, over lines of length n."""
     p, n = 2**31 - 1, 8
     rng = np.random.default_rng(5)
     const = hidden_block_pencil(rng, n, 4, 4, 6, p)
@@ -261,17 +294,18 @@ def test_wong_step_update_multiplies_only_the_dense_rows_and_columns(monkeypatch
                   for k in range(const.m))
     pencil = LaurentPencil.from_terms(p, n, terms)
     shapes = []
-    real = field_linalg.mod_matmul
+    real = laurent.mod_matmul
 
     def recording(a, b, q):
         shapes.append((np.shape(a), np.shape(b)))
         return real(a, b, q)
 
-    monkeypatch.setattr(field_linalg, "mod_matmul", recording)
+    monkeypatch.setattr(laurent, "mod_matmul", recording)
+    perm = np.eye(n, dtype=np.int64)[rng.permutation(n)]
+    step_update(pencil, perm, perm.T, 0, n)
+    assert shapes == []  # a permutation certificate is an index remap
     step_update(pencil, cert.S, cert.T, r, s)
-    assert 0 < len(shapes) <= 2
-    for a, b in shapes:
-        if len(a) == 2:  # rows of S that are not identity picks
-            assert a[0] <= r
-        else:  # columns of T that are not identity picks
-            assert len(b) == 2 and b[1] <= s
+    assert len(shapes) == 2
+    for (a, b), dense in zip(shapes, (r, s)):  # S's dense rows, then T's dense columns
+        assert a[1] == b[0] == n and b[1] <= dense
+        assert a[0] <= 2 * const.m * n  # at most one line per (term, degree, row or column)

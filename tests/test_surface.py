@@ -65,7 +65,7 @@ def test_private_kernel_names_imported_elsewhere_are_the_snapshot():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module == "field_linalg":
                 reached |= {alias.name for alias in node.names if alias.name.startswith("_")}
-    assert reached == {"_dtype_for", "_mod_sandwich", "_rref_kernel", "_span_columns"}
+    assert reached == {"_dtype_for", "_rref_kernel", "_span_columns"}
 
 
 def _module_trees():
