@@ -15,8 +15,8 @@ from .errors import (AllPrimesFailedError, DegDetError, DimensionMismatchError,
                      ExtractionFailedError, FormatError, IterationBoundExceededError,
                      NcRankGapError, NonPrimeError, PositiveDegreeError,
                      PrecisionUnsupportedError, RetryExhaustedError, SizeLimitError)
-from .field_linalg import (DEFAULT_PRIME, FieldMatrix, PrimeModulus, Subspace,
-                           column_space, is_prime, nullspace, preimage, rref, span_union)
+from .field_linalg import (DEFAULT_PRIME, FieldMatrix, PrimeModulus, column_space, is_prime,
+                           nullspace, preimage, rref, span_union)
 from .infinity import MINUS_INFINITY, MinusInfinity, is_minus_infinity
 from .instances import (Instance, IntegerInstance, PartitionedInstance, gen_2x2,
                         gen_bipartite, gen_dense, gen_integer, gen_rank1, load,

@@ -13,15 +13,16 @@ is the one modular product, so no other copy of it can overflow at 62 bits.
 
 Array-level kernels (``mod_matmul``, ``mod_rref``, ...) are what the solver
 runs, and its certificates hold plain residue arrays.  :class:`FieldMatrix`
-and :class:`Subspace` are the read-only wrappers of the public kernels
+is the read-only matrix of ``Instance.mats`` and of the public wrappers
 (:func:`rref`, :func:`nullspace`, :func:`column_space`, :func:`preimage`,
-:func:`span_union`) and of ``Instance.mats``.
+:func:`span_union`), each one kernel call: a subspace goes in and comes out
+as a ``FieldMatrix`` whose columns are the kernel's canonical basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,9 +72,6 @@ class PrimeModulus:
             raise NonPrimeError(f"modulus must be a prime in [2, 2**62): got {self.p!r}")
         if not is_prime(self.p):
             raise NonPrimeError(f"modulus {self.p} is not prime")
-
-    def __int__(self) -> int:
-        return self.p
 
 
 def _dtype_for(p: int):
@@ -200,13 +198,6 @@ def mod_preimage(a: np.ndarray, wbasis: np.ndarray, p: int) -> np.ndarray:
     return mod_column_space(null[: a.shape[1]], p)
 
 
-def mod_contains(basis: np.ndarray, cand: np.ndarray, p: int) -> bool:
-    """Whether every column of cand lies in the span of basis (independent columns)."""
-    if cand.shape[1] == 0:
-        return True
-    return mod_rank(np.concatenate([basis, cand], axis=1), p) == basis.shape[1]
-
-
 def _span_columns(stack: np.ndarray, ubasis: np.ndarray, p: int) -> np.ndarray:
     """All columns B_k u as one (n, m*u) array."""
     prods = mod_matmul(stack, ubasis, p)  # (m, n, u)
@@ -232,83 +223,10 @@ class FieldMatrix:
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def zeros(cls, p: int, rows: int, cols: int) -> "FieldMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, p: int, n: int) -> "FieldMatrix":
-        return cls(p, np.eye(n, dtype=np.int64))
-
-    # -- shape -------------------------------------------------------------
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, FieldMatrix) and self.p == other.p
                 and self.data.shape == other.data.shape
                 and bool(np.all(self.data == other.data)))
-
-    def __hash__(self):
-        return hash((self.p, self.data.shape, tuple(self.data.ravel().tolist())))
-
-    def rank(self) -> int:
-        return mod_rank(self.data, self.p)
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of GF(p)^n given by an independent-column basis matrix."""
-
-    ambient_dim: int
-    basis: FieldMatrix
-
-    def __post_init__(self):
-        if self.basis.rows != self.ambient_dim:
-            raise DimensionMismatchError("basis rows must equal ambient dimension")
-        if self.basis.cols and self.basis.rank() != self.basis.cols:
-            raise DimensionMismatchError("basis columns are dependent")
-
-    @property
-    def p(self) -> int:
-        return self.basis.p
-
-    @property
-    def dim(self) -> int:
-        return self.basis.cols
-
-    @classmethod
-    def zero(cls, p: int, n: int) -> "Subspace":
-        return cls(n, FieldMatrix.zeros(p, n, 0))
-
-    @classmethod
-    def full(cls, p: int, n: int) -> "Subspace":
-        return cls(n, FieldMatrix.identity(p, n))
-
-    @classmethod
-    def from_columns(cls, p: int, columns: np.ndarray) -> "Subspace":
-        cols = as_residues(columns, p)
-        return cls(cols.shape[0], FieldMatrix(p, mod_column_space(cols, p)))
-
-    def contains(self, vector: Iterable[int]) -> bool:
-        v = as_residues(list(vector), self.p).reshape(-1, 1)
-        return mod_contains(self.basis.data, v, self.p)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return mod_contains(self.basis.data, other.basis.data, self.p)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
-                and self.dim == other.dim and self.contains_subspace(other))
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.dim))
 
 
 def rref(M: FieldMatrix) -> tuple[FieldMatrix, FieldMatrix, int]:
@@ -320,32 +238,29 @@ def rref(M: FieldMatrix) -> tuple[FieldMatrix, FieldMatrix, int]:
     return FieldMatrix(M.p, R), FieldMatrix(M.p, U), rank
 
 
-def nullspace(M: FieldMatrix) -> Subspace:
-    """Right nullspace {x : M x = 0} of M."""
-    return Subspace(M.cols, FieldMatrix(M.p, mod_nullspace(M.data, M.p)))
+def nullspace(M: FieldMatrix) -> FieldMatrix:
+    """Basis columns of the right nullspace {x : M x = 0} of M."""
+    return FieldMatrix(M.p, mod_nullspace(M.data, M.p))
 
 
-def column_space(M: FieldMatrix) -> Subspace:
-    return Subspace(M.rows, FieldMatrix(M.p, mod_column_space(M.data, M.p)))
+def column_space(M: FieldMatrix) -> FieldMatrix:
+    """Canonical basis columns of the column space of M."""
+    return FieldMatrix(M.p, mod_column_space(M.data, M.p))
 
 
-def preimage(M: FieldMatrix, W: Subspace) -> Subspace:
-    """{x : M x lies in span(W)}; always contains the nullspace of M."""
-    if W.ambient_dim != M.rows:
+def preimage(M: FieldMatrix, W: FieldMatrix) -> FieldMatrix:
+    """Canonical basis columns of {x : M x lies in the span of W's columns}."""
+    if W.data.shape[0] != M.data.shape[0]:
         raise DimensionMismatchError("preimage target lives in the wrong ambient space")
-    return Subspace(M.cols, FieldMatrix(M.p, mod_preimage(M.data, W.basis.data, M.p)))
+    return FieldMatrix(M.p, mod_preimage(M.data, W.data, M.p))
 
 
-def span_union(mats: Sequence[FieldMatrix], U: Subspace) -> Subspace:
-    """Span of all products B_k u over basis vectors u of U."""
+def span_union(mats: Sequence[FieldMatrix], U: FieldMatrix) -> FieldMatrix:
+    """Canonical basis columns of the span of all B_k u, u a column of U."""
     if not mats:
         raise DimensionMismatchError("span_union needs at least one matrix")
+    if any(mat.data.shape != (mats[0].data.shape[0], U.data.shape[0]) for mat in mats):
+        raise DimensionMismatchError("matrices must share a shape whose columns match U's rows")
     p = mats[0].p
-    n = mats[0].rows
-    for mat in mats:
-        if mat.cols != U.ambient_dim:
-            raise DimensionMismatchError("matrix columns must match the subspace ambient dim")
-    if U.dim == 0:
-        return Subspace.zero(p, n)
     stack = np.stack([mat.data for mat in mats])
-    return Subspace.from_columns(p, _span_columns(stack, U.basis.data, p))
+    return FieldMatrix(p, mod_column_space(_span_columns(stack, U.data, p), p))

@@ -49,11 +49,6 @@ class LaurentMatrix:
         object.__setattr__(self, "coeffs", cleaned)
 
     @classmethod
-    def from_constant(cls, p: int, mat, degree: int = 0) -> "LaurentMatrix":
-        arr = as_residues(mat, p)
-        return cls(p, arr.shape[0], {degree: arr})
-
-    @classmethod
     def _wrap(cls, p: int, n: int, coeffs: dict[int, np.ndarray]) -> "LaurentMatrix":
         # internal fast path: coefficients already reduced, nonzero, readonly
         obj = object.__new__(cls)
@@ -62,10 +57,6 @@ class LaurentMatrix:
         object.__setattr__(obj, "coeffs", coeffs)
         return obj
 
-    @classmethod
-    def zero(cls, p: int, n: int) -> "LaurentMatrix":
-        return cls(p, n, {})
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.coeffs))
 
@@ -73,9 +64,6 @@ class LaurentMatrix:
     def depth(self) -> int:
         """Lowest retained degree (0 for the zero term)."""
         return min(self.coeffs, default=0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def square_substitute(self) -> "LaurentMatrix":
         """t -> t**2: the coefficient at degree d moves to degree 2d."""
@@ -91,9 +79,6 @@ class LaurentMatrix:
         if set(self.coeffs) != set(other.coeffs):
             return False
         return all(bool(np.all(self.coeffs[d] == other.coeffs[d])) for d in self.coeffs)
-
-    def __hash__(self):
-        return hash((self.p, self.n, tuple(sorted(self.coeffs))))
 
 
 @dataclass(frozen=True, eq=False)

@@ -112,8 +112,10 @@ class Certificate:
     value: int
 
     def check(self, pencil: ConstPencil) -> bool:
-        """Machine-check the zero block and invertibility."""
+        """Machine-check the block sizes, the zero block and invertibility."""
         n, p = pencil.n, pencil.p
+        if not (0 <= self.r <= n and 0 <= self.s <= n):
+            return False
         if self.value != 2 * n - self.r - self.s:
             return False
         if any(M.shape != (n, n) or mod_rank(M, p) != n for M in (self.S, self.T)):

@@ -142,6 +142,10 @@ def test_selftest_passes(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["ok"] is True
+    assert [check["name"] for check in doc["checks"]] == [
+        "nconvex_linear", "nconvex_max_pair", "nconvex_combination",
+        "nconvex_counterexample", "normal_path_lengths", "rank_nullity",
+        "certificate_valid"]
 
 
 def test_solve_flags_no_scaling_and_truncate_depth(capsys, tmp_path):

@@ -77,8 +77,11 @@ def test_solve_r_value_matches_substitution_rank_on_random():
 def test_certificate_zero_block_is_checked():
     pen = ConstPencil(P, np.stack([np.array(unit_matrix(0, 0, 2))]))
     cert = solve_R(pen, seed=5)
-    tampered = type(cert)(cert.S, cert.T, 2, 2, 0)
-    assert not tampered.check(pen)
+    # a zero block past the matrix edge is no certificate; (3, 1, 0) would
+    # certify the value 0, below the nc-rank 1
+    for r, s, value in ((2, 2, 0), (3, 1, 0), (-1, 3, 2)):
+        tampered = type(cert)(cert.S, cert.T, r, s, value)
+        assert not tampered.check(pen), (r, s, value)
 
 
 def test_is_nc_nonsingular_examples(skew3):

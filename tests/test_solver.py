@@ -34,8 +34,8 @@ def test_run_phase_scalar():
 def test_run_phase_bipartite_two_steps():
     # {E11 t^0, E22 t^-1}: one lift/drop step, then optimal; dstar moves by
     # n - r - s = -1 (certificate value 1 forces r + s = 3)
-    t1 = LaurentMatrix.from_constant(P, [[1, 0], [0, 0]], 0)
-    t2 = LaurentMatrix.from_constant(P, [[0, 0], [0, 1]], -1)
+    t1 = LaurentMatrix(P, 2, {0: [[1, 0], [0, 0]]})
+    t2 = LaurentMatrix(P, 2, {-1: [[0, 0], [0, 1]]})
     pen = LaurentPencil.from_terms(P, 2, (t1, t2))
     out, dstar, iters = run_phase(pen, 2, SolveOptions(seed=0))
     assert iters == 2

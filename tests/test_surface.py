@@ -6,8 +6,12 @@ import dataclasses
 import re
 from pathlib import Path
 
+import pytest
+
 import degdet
-from degdet import SolveOptions, cli
+from degdet import (FieldMatrix, LaurentMatrix, LaurentPencil, SolveOptions, cli, gen_2x2,
+                    gen_bipartite, gen_integer, gen_rank1, is_minus_infinity, solve,
+                    solve_and_extract, solve_rational_report)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -18,10 +22,10 @@ PUBLIC_NAMES = [
     "LaurentMatrix", "LaurentPencil", "MINUS_INFINITY", "MinusInfinity", "NcRankGapError",
     "NewtonSupport", "NonPrimeError", "PartitionedInstance", "PositiveDegreeError",
     "PrecisionUnsupportedError", "PrimeBudget", "PrimeModulus", "RationalReport",
-    "RetryExhaustedError", "SizeLimitError", "SolveOptions", "SolveReport", "Subspace",
-    "TwoMatching", "bound_log2", "build_blowup", "column_space", "degdet_blowup",
-    "degdet_commutative", "enumerate_perfect", "first_primes", "gen_2x2", "gen_bipartite",
-    "gen_dense", "gen_integer", "gen_rank1", "hungarian", "is_consistent",
+    "RetryExhaustedError", "SizeLimitError", "SolveOptions", "SolveReport", "TwoMatching",
+    "bound_log2", "build_blowup", "column_space", "degdet_blowup", "degdet_commutative",
+    "enumerate_perfect", "first_primes", "gen_2x2", "gen_bipartite", "gen_dense",
+    "gen_integer", "gen_rank1", "hungarian", "is_consistent",
     "is_minus_infinity", "is_nc_nonsingular", "is_prime", "leading", "load",
     "newton_small", "normalize_costs", "nullspace", "preimage", "prime_budget",
     "random_bipartite_weights", "random_rank_profile", "rref", "run_phase", "save",
@@ -38,8 +42,46 @@ def test_solve_options_are_the_four_settings():
 
 def test_public_names_are_the_snapshot():
     # adding or removing a public name is a deliberate edit of this list
-    assert len(PUBLIC_NAMES) == 73
+    assert len(PUBLIC_NAMES) == 72
     assert degdet.__all__ == PUBLIC_NAMES
+
+
+def _public_members(cls) -> list:
+    fields = {field.name for field in dataclasses.fields(cls)}
+    return sorted(fields | {name for name in dir(cls) if not name.startswith("_")})
+
+
+def test_wrapper_members_are_the_snapshot():
+    # the wrapper layer the solver never runs; growing it back is a deliberate edit
+    assert _public_members(FieldMatrix) == ["data", "p"]
+    assert _public_members(LaurentMatrix) == [
+        "coeffs", "degrees", "depth", "n", "p", "scale_tinv", "square_substitute"]
+
+
+def test_solve_paths_never_build_the_wrapper_layer(monkeypatch):
+    part = gen_2x2(3, seed=4, rank_profile=[[2, 1, 0], [1, 2, 1], [0, 1, 2]])
+    runs = (
+        lambda: solve(gen_bipartite([[3, -1, 4], [1, -5, 9], [2, 6, -5]])).value,
+        lambda: solve(gen_rank1(3, 4, seed=8)).value,
+        lambda: solve(gen_bipartite([[1, 2, 3], [4, None, None], [5, None, None]])).value,
+        lambda: solve_and_extract(part),
+        lambda: solve_rational_report(gen_integer(2, 3, seed=11, entry_bound=5)).value,
+    )
+    expected = [run() for run in runs]
+    assert expected[0] == 18 and is_minus_infinity(expected[2])
+    assert expected[3][1] is not None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve path built a wrapper")
+
+    monkeypatch.setattr(FieldMatrix, "__post_init__", refuse)
+    monkeypatch.setattr(LaurentMatrix, "__post_init__", refuse)
+    monkeypatch.setattr(LaurentMatrix, "_wrap", refuse)
+    monkeypatch.setattr(LaurentPencil, "terms", property(refuse))
+    monkeypatch.setattr(LaurentPencil, "from_terms", refuse)
+    with pytest.raises(AssertionError):  # the guard itself is live
+        FieldMatrix(2, [[1]])
+    assert [run() for run in runs] == expected
 
 
 def test_readme_flags_are_the_registered_ones_per_subcommand():
