@@ -23,11 +23,11 @@ class PositiveDegreeError(DegDetError):
 
 
 class NcRankGapError(DegDetError):
-    """The Wong sequence escaped the image of every sampled max-rank point.
+    """The Wong sequence escaped at every sampled point of a pencil and of its
+    (n-1)-fold blow-up, so no certificate was found.
 
-    Either the pencil has commutative rank strictly below its noncommutative
-    rank, or sampling was exceptionally unlucky.  Callers may fall back to the
-    blow-up oracle for the value.
+    Over a tiny field every point can fall short of the maximum rank; over a
+    large one this takes exceptionally bad luck.
     """
 
 

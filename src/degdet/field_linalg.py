@@ -138,7 +138,7 @@ def mod_rref(a: np.ndarray, p: int, transform: bool = False):
         pr = row + int(nz[0])
         if pr != row:
             A[[row, pr]] = A[[pr, row]]
-        inv = pow(int(A[row, col]), p - 2, p)
+        inv = pow(int(A[row, col]), -1, p)
         A[row] = A[row] * inv % p
         factors = A[:, col].copy()
         factors[row] = 0
@@ -252,6 +252,8 @@ def preimage(M: FieldMatrix, W: FieldMatrix) -> FieldMatrix:
     """Canonical basis columns of {x : M x lies in the span of W's columns}."""
     if W.data.shape[0] != M.data.shape[0]:
         raise DimensionMismatchError("preimage target lives in the wrong ambient space")
+    if W.p != M.p:
+        raise DimensionMismatchError("preimage operands must share one modulus")
     return FieldMatrix(M.p, mod_preimage(M.data, W.data, M.p))
 
 
@@ -261,6 +263,8 @@ def span_union(mats: Sequence[FieldMatrix], U: FieldMatrix) -> FieldMatrix:
         raise DimensionMismatchError("span_union needs at least one matrix")
     if any(mat.data.shape != (mats[0].data.shape[0], U.data.shape[0]) for mat in mats):
         raise DimensionMismatchError("matrices must share a shape whose columns match U's rows")
-    p = mats[0].p
+    p = U.p
+    if any(mat.p != p for mat in mats):
+        raise DimensionMismatchError("span_union operands must share one modulus")
     stack = np.stack([mat.data for mat in mats])
     return FieldMatrix(p, mod_column_space(_span_columns(stack, U.data, p), p))

@@ -8,10 +8,14 @@ keeps a maximum-rank point B, and runs the second Wong sequence
     W_0 = {0},   W_{j+1} = sum_k B_k (preimage of W_j under B)
 
 until it stabilizes.  If the limit stays inside the image of B the shrunk
-subspace it exposes yields a certificate whose value equals rank B; whenever
-the sequence escapes the image for every sampled max-rank point the
-commutative and noncommutative ranks (probably) differ and
-:class:`NcRankGapError` is raised.
+subspace it exposes yields a certificate whose value equals rank B.  When
+the sequence escapes at every sampled point (the commutative rank is below
+the nc-rank, or the field is too small), the same sequence runs at points A
+of the (n-1)-fold blow-up, whose maximum rank is (n-1) nc-rank (Derksen and
+Makam's blow-up regularity); a trapped limit there is F^(n-1) (x) U for a
+shrunk subspace U of the pencil itself (Ivanyos, Karpinski, Qiao and Santha
+2015), whose certificate has value rank A / (n-1).  Only when the blow-up
+points fail too is :class:`NcRankGapError` raised.
 
 Only the live terms, those with a nonzero B_k, take part: the substitution
 and the Wong sequence run on them alone.  The random point is still drawn
@@ -19,9 +23,10 @@ over all m terms and then restricted to the live ones, so B, every subspace
 and every certificate are those of the full pencil (a zero B_k adds only
 zero columns B_k u, and the reduced-echelon column space ignores them).
 
-Each sampled B is reduced once, E B = R.  Its rank decides the full-rank
-exit, ker B is read off R, and each Wong step gets B^-1(W) and the test of
-W against im B from the one product E W.
+Each sampled B is reduced once, E B = R, and so is each blow-up point A,
+which :func:`substituted_blowup` evaluates without building the blow-up.
+Its rank decides the full-rank exit, ker B is read off R, and each Wong
+step gets B^-1(W) and the test of W against im B from the one product E W.
 
 Every certificate is verified before it is returned.  Its zero block
 S[:r] B_k T[:, n-s:] is checked exactly as the first r rows of S times the
@@ -140,90 +145,106 @@ def _unit_completion(cols: np.ndarray, last: bool = False) -> np.ndarray:
     return np.eye(n, dtype=cols.dtype)[:, keep]
 
 
-def _wong_certificate(pencil: ConstPencil, reduced: tuple) -> Certificate | None:
-    """Try to build a certificate from ``reduced = mod_rref(B, p, transform=True)``.
+def _wong_certificate(pencil: ConstPencil, reduced: tuple, d: int = 1) -> Certificate | None:
+    """Try to build a certificate from ``reduced = mod_rref(A, p, transform=True)``,
+    A a point of the pencil's d-fold blow-up (:func:`substituted_blowup`).
 
-    With E B = R of rank rho, every step reads B^-1(W) = ker B + X_W off
-    that one reduction: X_W holds (E W)[:rho] at B's pivot rows, and W
-    escapes im B, returning None, exactly when (E W)[rho:] is nonzero.  The
+    With E A = R of rank rho, every step reads A^-1(W) = ker A + X_W off
+    that one reduction: X_W holds (E W)[:rho] at A's pivot rows, and W
+    escapes im A, returning None, exactly when (E W)[rho:] is nonzero.  The
     sequence is monotone, so a step that keeps the dimension adds nothing to
-    check.  A returned certificate is exact: its value both upper-bounds
-    nc-rank (validity) and lower-bounds it (equals rank B).
+    check.  Every span of the blow-up is F^d (x) W' with W' = sum_k B_k U',
+    U' the column space of the n-blocks of the nd-vectors in A^-1(W) (for
+    d = 1, U' is A^-1(W) itself); only the preimage works in dimension nd.
 
-    It is verified first: the value against 2n - r - s and rank B, and the
-    zero block S[:r] B_k T[:, n-s:] as left^T times the columns B_k u that
-    the last Wong step already formed.  S and T are invertible by
-    construction, through :func:`_unit_completion`.
+    A trapped limit U* = A^-1(W*) is the smallest subspace of maximum
+    discrepancy, so it is fixed by GL_d (x) I and equals F^d (x) U'; U'
+    proves nc-rank <= rho / d, and rank A <= d nc-rank proves the converse.
+
+    The certificate is verified first: the value against 2n - r - s and
+    rho / d, and the zero block S[:r] B_k T[:, n-s:] as left^T times the
+    columns B_k u that the last Wong step already formed.  S and T are
+    invertible by construction, through :func:`_unit_completion`.
     """
     p, n = pencil.p, pencil.n
     stack = pencil.stack
     R, E, rho, pivots = reduced
     kernel = _rref_kernel(R, pivots, p)
-    U = mod_column_space(kernel, p)
+    U = kernel
     W = np.zeros((n, 0), dtype=stack.dtype)
     for _ in range(n + 2):
-        flat = _span_columns(stack, U, p)  # every B_k u, u in U
+        # U': a reduced basis of the n-blocks of U, in substituted_blowup's block order
+        U = mod_column_space(U.reshape(d, n, -1).transpose(1, 0, 2).reshape(n, -1), p)
+        flat = _span_columns(stack, U, p)  # every B_k u, u in U'
         Wn = mod_column_space(flat, p)
         if Wn.shape[1] == W.shape[1]:
             break
         W = Wn
-        EW = mod_matmul(E, W, p)
-        if np.any(EW[rho:]):  # W escapes im B
+        # E (F^d (x) W), one n-column block of E at a time
+        EW = mod_matmul(E.reshape(-1, d, n).transpose(1, 0, 2), W, p)
+        EW = EW.transpose(1, 0, 2).reshape(n * d, -1)
+        if np.any(EW[rho:]):  # W escapes im A
             return None
         X = np.zeros_like(EW)
-        X[list(pivots)] = EW[:rho]  # B X = W
-        U = mod_column_space(np.concatenate([kernel, X], axis=1), p)
+        X[list(pivots)] = EW[:rho]  # A X = W
+        U = np.concatenate([kernel, X], axis=1)  # spans A^-1(W)
     else:  # pragma: no cover - monotone dims stabilize within n steps
         raise AssertionError("Wong sequence failed to stabilize")
 
     # S: first r rows annihilate sum_k B_k U;  T: last s columns span U
     left = mod_nullspace(Wn.T, p)  # columns x with x . w = 0 for w in the span
     r, s = left.shape[1], U.shape[1]
-    if 2 * n - r - s != rho or np.any(mod_matmul(left.T, flat, p)):
+    if d * (2 * n - r - s) != rho or np.any(mod_matmul(left.T, flat, p)):
         raise AssertionError("constructed certificate failed verification")
     S = np.concatenate([left, _unit_completion(left, last=True)], axis=1).T
     T = np.concatenate([_unit_completion(U), U], axis=1)
     S.flags.writeable = T.flags.writeable = False
-    return Certificate(S, T, r, s, rho)
+    return Certificate(S, T, r, s, rho // d)
 
 
 def solve_R(pencil: ConstPencil, seed: int) -> Certificate:
     """Solve (R): an exact certificate whose value equals nc-rank(pencil).
 
-    Succeeds whenever the commutative rank equals the noncommutative rank
-    (the instance classes in scope); a full-rank substitution short-circuits
-    to the degenerate certificate (I, I, 0, n).  Raises
-    :class:`NcRankGapError` after 3n samples without a trapped Wong
-    sequence.
+    Tries 3n substitution points of the pencil, then 3n points of its
+    d-fold blow-up, d = n - 1 (from n = 3, where a rank gap can first
+    appear).  A full-rank point short-circuits to the degenerate certificate
+    (I, I, 0, n); a point below the best rank seen so far cannot trap the
+    Wong sequence and is skipped.  Raises :class:`NcRankGapError` when no
+    point gives a certificate.
 
     Substitution and the Wong sequence run on the live (nonzero) terms
-    only; each sample still draws a full-length point over all m terms and
-    keeps its live entries, so the random stream and the certificate are
-    those of the whole pencil.
+    only; each point is drawn over all m terms and restricted to the live
+    ones, so the random stream and the certificate are those of the whole
+    pencil.
     """
     p, n, m = pencil.p, pencil.n, pencil.m
     live = np.flatnonzero(pencil.stack.any(axis=(1, 2)))
     if len(live) < m:
         pencil = ConstPencil._wrap(p, pencil.stack[live])
     rng = np.random.default_rng(seed)
-    best_rank = -1
-    for _ in range(3 * n):
-        lam = rng.integers(0, p, size=m)
-        reduced = mod_rref(pencil.substitute(lam[live]), p, transform=True)
-        rank = reduced[2]
-        if rank == n:
-            ident = np.eye(n, dtype=pencil.stack.dtype)
-            ident.flags.writeable = False
-            return Certificate(ident, ident, 0, n, n)
-        if rank < best_rank:
-            continue
-        best_rank = rank
-        cert = _wong_certificate(pencil, reduced)
-        if cert is not None:
-            return cert
+    orders = (1, n - 1) if n > 2 else (1,)
+    for d in orders:
+        best_rank = -1
+        for _ in range(3 * n):
+            if d == 1:
+                A = pencil.substitute(rng.integers(0, p, size=m)[live])
+            else:
+                A = substituted_blowup(pencil, rng.integers(0, p, size=(m, d, d))[live], d)
+            reduced = mod_rref(A, p, transform=True)
+            rank = reduced[2]
+            if rank == n * d:
+                ident = np.eye(n, dtype=pencil.stack.dtype)
+                ident.flags.writeable = False
+                return Certificate(ident, ident, 0, n, n)
+            if rank < best_rank:
+                continue
+            best_rank = rank
+            cert = _wong_certificate(pencil, reduced, d)
+            if cert is not None:
+                return cert
     raise NcRankGapError(
-        f"no certificate after {3 * n} samples (best substitution rank {best_rank}); "
-        "commutative rank is likely below nc-rank")
+        f"no certificate after {3 * n} points of each blow-up order in {orders} "
+        f"(best rank at order {d}: {best_rank})")
 
 
 def build_blowup(pencil: ConstPencil, d: int) -> ConstPencil:

@@ -25,10 +25,11 @@ sum_k A_k x_k before any phase runs: a verified certificate with r + s > n is
 a shrunk-subspace proof that deg Det is -infinity, and the report carries it
 as the witness.
 
-If the leading pencil ever has commutative rank strictly below its nc-rank,
-the certificate oracle cannot make progress (NcRankGapError); the driver then
-defers the whole value computation to the blow-up oracle and flags this in
-the report.
+A leading pencil whose commutative rank is below its nc-rank needs no
+special case: the oracle certifies it from a point of the pencil's
+(n-1)-fold blow-up, so such instances keep the log C phase count.  An oracle
+call that finds no certificate at all (over a tiny field every point can
+fall short) raises NcRankGapError out of the solve.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, IterationBoundExceededError, NcRankGapError, SizeLimitError
+from .errors import DimensionMismatchError, IterationBoundExceededError, SizeLimitError
 from .infinity import MINUS_INFINITY, MinusInfinity
 from .instances import Instance
 from .laurent import LaurentPencil, leading, scale_tinv, square_substitute, step_update, truncate
@@ -66,7 +67,7 @@ class SolveReport:
     phases: int
     oracle_calls: int
     shift_applied: int
-    used_blowup_fallback: bool = False
+    used_blowup_fallback: bool = False  # always False: gaps are certified, not deferred
     phase_seconds: tuple[float, ...] = ()  # timing only; excluded from determinism
     # the constant pencil's certificate (r + s > n) when value is -inf, else None
     singular_certificate: Certificate | None = None
@@ -116,28 +117,27 @@ def _ceil_div(a: int, d: int) -> int:
 
 
 def _run_phase(pencil: LaurentPencil, dstar: int, rng: np.random.Generator,
-               lim: _Limits, calls: list[int], first: Certificate | None = None
+               lim: _Limits, first: Certificate | None = None
                ) -> tuple[LaurentPencil, int, int]:
     """Descent until the leading pencil certifies optimum n.
 
-    A phase whose `lim.bound`-th oracle call does not certify optimum n raises
-    IterationBoundExceededError.  `first`, when given, is a certificate
-    already found for the starting leading pencil and answers the first
-    oracle call.  The phase appends one entry to `calls` and counts every
-    answered oracle call in it, the terminating one included, so the count
-    survives an NcRankGapError that cuts the phase short.
+    Returns the pencil, D* and the oracle calls, the terminating one
+    included.  A phase whose `lim.bound`-th oracle call does not certify
+    optimum n raises IterationBoundExceededError.  `first`, when given, is a
+    certificate already found for the starting leading pencil and answers
+    the first oracle call.
     """
     n = pencil.n
-    calls.append(0)
+    calls = 0
     while True:
         if first is not None:
             cert, first = first, None
         else:
             cert = solve_R(leading(pencil), int(rng.integers(0, 2**63)))
-        calls[-1] += 1
+        calls += 1
         if cert.value == n:
-            return pencil, dstar, calls[-1]
-        if calls[-1] >= lim.bound:
+            return pencil, dstar, calls
+        if calls >= lim.bound:
             raise IterationBoundExceededError(
                 f"phase reached its bound of {lim.bound} oracle calls without terminating")
         pencil = step_update(pencil, cert.S, cert.T, cert.r, cert.s)
@@ -154,7 +154,7 @@ def run_phase(pencil: LaurentPencil, dstar: int, opts: SolveOptions | None = Non
     # the no-scaling cap of a solve whose cost-1 term sits at the lowest degree
     cmax = 1 - int(pencil.degree.min(initial=0))
     lim = _limits(opts, pencil.n, pencil.m, cmax)
-    return _run_phase(pencil, dstar, rng, lim, [])
+    return _run_phase(pencil, dstar, rng, lim)
 
 
 def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
@@ -167,15 +167,17 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
                             ) -> tuple[SolveReport, LaurentPencil | None]:
     """Like :func:`solve`, additionally returning the final pencil.
 
-    The pencil is None when the instance is nc-singular or when the value had
-    to come from the blow-up fallback.  Tests read it (the golden records),
-    and :func:`partitioned.solve_and_extract` reads its tight terms.
+    The pencil is None when the instance is nc-singular.  Tests read it (the
+    golden records), and :func:`partitioned.solve_and_extract` reads its
+    tight terms.
 
     The certificate of the constant pencil decides singularity; that pencil
     is the instance's read-only residue stack itself, wrapped without a
     copy.  With scaling the first phase starts on that same pencil, so the
     certificate also answers the first phase's first oracle call; without
-    scaling it is an extra call, not counted in `oracle_calls`.
+    scaling it is an extra call, not counted in `oracle_calls`.  Every
+    oracle call, rank-gap pencils included, is answered by a verified
+    certificate or raises NcRankGapError out of the solve.
     """
     opts = opts or SolveOptions()
     n = inst.n
@@ -184,37 +186,26 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
     shifted, b = normalize_costs(inst.costs)
     lim = _limits(opts, n, inst.m, max(shifted))
 
-    calls: list[int] = []  # answered oracle calls, one entry per phase begun
-    done: list[tuple[int, float]] = []  # (D*, seconds) per finished phase
     pencil = witness = None
-    fallback = False
-    try:
-        cert = solve_R(ConstPencil._wrap(inst.p, inst.stack), int(rng.integers(0, 2**63)))
-        if cert.value < n:
-            value, witness = MINUS_INFINITY, cert
-        else:
-            dstar, pencil = _descend(inst, shifted, opts, rng, lim, cert, calls, done)
-            value = dstar - n * b
-    except NcRankGapError:
-        # The constant or a leading pencil hit a commutative/noncommutative
-        # rank gap that resampling cannot fix; defer the value to the blow-up
-        # oracle.
-        from .oracles import degdet_blowup
-
-        value = degdet_blowup(inst, seed=int(rng.integers(0, 2**63)))
-        fallback = True
-    report = SolveReport(value, tuple(d for d, _ in done), tuple(calls[:len(done)]),
-                         len(done), sum(calls), b, used_blowup_fallback=fallback,
-                         phase_seconds=tuple(sec for _, sec in done),
-                         singular_certificate=witness)
+    done: list[tuple[int, int, float]] = []  # (D*, oracle calls, seconds) per phase
+    cert = solve_R(ConstPencil._wrap(inst.p, inst.stack), int(rng.integers(0, 2**63)))
+    if cert.value < n:
+        value, witness = MINUS_INFINITY, cert
+    else:
+        pencil, done = _descend(inst, shifted, opts, rng, lim, cert)
+        value = done[-1][0] - n * b
+    dstars, calls, seconds = zip(*done) if done else ((), (), ())
+    report = SolveReport(value, dstars, calls, len(done), sum(calls), b,
+                         phase_seconds=seconds, singular_certificate=witness)
     return report, pencil
 
 
 def _descend(inst: Instance, shifted: tuple[int, ...], opts: SolveOptions,
-             rng: np.random.Generator, lim: _Limits, first: Certificate,
-             calls: list[int], done: list[tuple[int, float]]
-             ) -> tuple[int, LaurentPencil]:
+             rng: np.random.Generator, lim: _Limits, first: Certificate
+             ) -> tuple[LaurentPencil, list[tuple[int, int, float]]]:
     """Phases theta = 0..N on the costs scaled by 2^-N (see the module docstring).
+
+    Returns the final pencil and (D*, oracle calls, seconds) per phase.
 
     With scaling phase 0 starts on the constant pencil, whose certificate
     `first` answers the first oracle call; without scaling N = 0.
@@ -230,6 +221,7 @@ def _descend(inst: Instance, shifted: tuple[int, ...], opts: SolveOptions,
     pencil = LaurentPencil.from_constants(inst.p, inst.stack,
                                           [_ceil_div(c, scale) - top for c in shifted])
     dstar = n * top
+    done = []
     for theta in range(num_doublings + 1):
         if theta:
             # B_k(t^2), times t^-1 where the doubled scaled cost 2 ceil(c/2den)
@@ -240,7 +232,7 @@ def _descend(inst: Instance, shifted: tuple[int, ...], opts: SolveOptions,
                 pencil = truncate(pencil, lim.depth)
             dstar *= 2
         t0 = time.perf_counter()
-        pencil, dstar, _ = _run_phase(pencil, dstar, rng, lim, calls, first)
-        done.append((dstar, time.perf_counter() - t0))
+        pencil, dstar, calls = _run_phase(pencil, dstar, rng, lim, first)
+        done.append((dstar, calls, time.perf_counter() - t0))
         first = None
-    return dstar, pencil
+    return pencil, done

@@ -130,6 +130,18 @@ def test_preimage_dimension_mismatch():
         preimage(M, eye(P, 2))
 
 
+def test_preimage_and_span_union_refuse_mixed_moduli():
+    # computing modulo the first operand's p would silently change the field
+    M = FieldMatrix(5, [[1, 2], [3, 4]])
+    W = FieldMatrix(7, [[6], [1]])
+    with pytest.raises(DimensionMismatchError, match="modulus"):
+        preimage(M, W)
+    with pytest.raises(DimensionMismatchError, match="modulus"):
+        span_union([M], W)
+    with pytest.raises(DimensionMismatchError, match="modulus"):
+        span_union([FieldMatrix(5, np.eye(2)), FieldMatrix(7, np.eye(2))], eye(5, 2))
+
+
 def test_span_union_examples():
     U = column_space(FieldMatrix(P, [[1, 0], [0, 1], [0, 0]]))
     out = span_union([eye(P, 3)], U)

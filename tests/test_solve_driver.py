@@ -28,20 +28,22 @@ def gap_probe() -> Instance:
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gap_after_first_phase_with_scaling(seed):
+    # the gap pencils from phase 1 on are certified by the blow-up, so the
+    # descent keeps its ceil(log2 C) + 1 phases
     report, pencil = solve_with_final_pencil(gap_probe(), SolveOptions(seed=seed))
-    assert report.value == 20 and report.used_blowup_fallback and pencil is None
-    assert (report.phases, report.iterations, report.oracle_calls) == (1, (1,), 1)
-    assert report.dstar_trace == (3,) and len(report.phase_seconds) == 1
+    assert report.value == 20 and not report.used_blowup_fallback and pencil is not None
+    assert (report.phases, report.iterations, report.oracle_calls) == (5, (1, 1, 2, 3, 3), 10)
+    assert report.dstar_trace == (3, 6, 11, 20, 38) and len(report.phase_seconds) == 5
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gap_mid_descent_counts_the_cut_phase(seed):
-    # the only phase ends in NcRankGapError after 10 answered oracle calls:
-    # no finished phase, but the calls still count
+    # the gap that appears mid-phase no longer cuts the phase short: the one
+    # phase finishes after 11 oracle calls
     report = solve(gap_probe(), SolveOptions(seed=seed, scaling_enabled=False))
-    assert report.value == 20 and report.used_blowup_fallback
-    assert (report.phases, report.iterations, report.oracle_calls) == (0, (), 10)
-    assert report.dstar_trace == () and report.phase_seconds == ()
+    assert report.value == 20 and not report.used_blowup_fallback
+    assert (report.phases, report.iterations, report.oracle_calls) == (1, (11,), 11)
+    assert report.dstar_trace == (38,) and len(report.phase_seconds) == 1
 
 
 # -- truncation depths that are not proven safe ----------------------------
@@ -167,9 +169,13 @@ GOLDEN = {
         (-15, (3, 4, 7, 13, 24, 46, 89, 177), (1, 2, 2, 2, 2, 2, 2, 2), 8, 15, 64, False,
          None, 8),
         ((-44, 0), (-97, -53, -24), (-73, -29, 0), (0,))),
-    ("skew3", "default"): ((11, (), (), 0, 0, 3, True, None, 0), None),
-    ("skew3", "noscale"): ((11, (), (), 0, 0, 3, True, None, 0), None),
-    ("skew3", "notrunc"): ((11, (), (), 0, 0, 3, True, None, 0), None),
+    ("skew3", "default"): (
+        (11, (3, 4, 6, 11, 20), (1, 3, 3, 2, 3), 5, 12, 3, False, None, 5),
+        ((0,), (0,), (0,))),
+    ("skew3", "noscale"): ((11, (20,), (17,), 1, 17, 3, False, None, 1), ((0,), (0,), (0,))),
+    ("skew3", "notrunc"): (
+        (11, (3, 4, 6, 11, 20), (1, 3, 3, 2, 3), 5, 12, 3, False, None, 5),
+        ((0,), (0,), (0,))),
     ("singular", "default"): (("-inf", (), (), 0, 0, 0, False, (2, 1), 0), None),
     ("singular", "noscale"): (("-inf", (), (), 0, 0, 0, False, (2, 1), 0), None),
     ("singular", "notrunc"): (("-inf", (), (), 0, 0, 0, False, (2, 1), 0), None),

@@ -67,11 +67,12 @@ def test_solve_bipartite_fixture(bipartite_3x3_grid):
     assert solve(inst).value == 8
 
 
-def test_solve_skew_returns_zero_via_fallback(skew3):
+def test_solve_skew_returns_zero_without_fallback(skew3):
+    # the commutative rank is 2 < 3 = nc-rank; the blow-up certifies every call
     inst = make_instance(skew3, [0, 0, 0])
     report = solve(inst)
     assert report.value == 0
-    assert report.used_blowup_fallback
+    assert not report.used_blowup_fallback and report.phases == 1
     # while the commutative degree is minus infinity
     assert is_minus_infinity(brute_symbolic_degdet(skew3, [0, 0, 0], P))
 
