@@ -10,6 +10,8 @@ configured exotic primes.
 That choice is made here only: :func:`_dtype_for` names the dtype of a
 modulus, :func:`as_residues` makes every residue array and :func:`mod_matmul`
 is the one modular product, so no other copy of it can overflow at 62 bits.
+An int64 product is one ``np.matmul`` when k (p-1)^2 < 2**63 for inner
+dimension k, and is split into 16-bit halves of the left operand otherwise.
 
 Array-level kernels (``mod_matmul``, ``mod_rref``, ...) are what the solver
 runs, and its certificates hold plain residue arrays.  :class:`FieldMatrix`
@@ -95,6 +97,8 @@ def as_residues(data, p: int) -> np.ndarray:
 def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Matrix product mod p with numpy broadcasting over leading axes."""
     if a.dtype != object and b.dtype != object and p <= _INT64_SAFE_MAX:
+        if a.shape[-1] * (p - 1) ** 2 < 2**63:  # every sum of products fits int64
+            return np.matmul(a, b) % p
         if a.shape[-1] > _MAX_INNER_DIM:
             raise DimensionMismatchError("inner dimension too large for split multiply")
         hi = a >> 16

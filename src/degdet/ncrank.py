@@ -27,6 +27,16 @@ Each sampled B is reduced once, E B = R, and so is each blow-up point A,
 which :func:`substituted_blowup` evaluates without building the blow-up.
 Its rank decides the full-rank exit, ker B is read off R, and each Wong
 step gets B^-1(W) and the test of W against im B from the one product E W.
+At d = 1 the sequence runs on that preimage basis [ker B | X_W] as it is
+formed: its columns are independent and every span it feeds is reduced
+anyway, so U is reduced once, after the loop, to build T.  The first r
+rows of S are read off the last step's reduction of the columns B_k u.
+
+A point whose sequence escapes has rank below the maximum at its blow-up
+order: if W* leaves im A, then rank A < d nc-rank (Ivanyos, Karpinski, Qiao
+and Santha 2015), so no later point of that rank can trap the sequence.
+:func:`solve_R` runs it only at points whose rank beats every rank already
+tried at that order.
 
 Every certificate is verified before it is returned.  Its zero block
 S[:r] B_k T[:, n-s:] is checked exactly as the first r rows of S times the
@@ -57,7 +67,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NcRankGapError
 from .field_linalg import (_rref_kernel, _span_columns, as_residues, mod_column_space,
-                           mod_matmul, mod_nullspace, mod_rank, mod_rref)
+                           mod_matmul, mod_rank, mod_rref)
 
 
 @dataclass(frozen=True)
@@ -161,6 +171,11 @@ def _wong_certificate(pencil: ConstPencil, reduced: tuple, d: int = 1) -> Certif
     discrepancy, so it is fixed by GL_d (x) I and equals F^d (x) U'; U'
     proves nc-rank <= rho / d, and rank A <= d nc-rank proves the converse.
 
+    At d = 1 the sequence runs on [ker A | X_W] unreduced and U is reduced
+    once, after the loop; d > 1 reduces U' at every step.  ``left`` spans
+    the annihilator of the limit, read off the last reduction of the columns
+    B_k u.
+
     The certificate is verified first: the value against 2n - r - s and
     rho / d, and the zero block S[:r] B_k T[:, n-s:] as left^T times the
     columns B_k u that the last Wong step already formed.  S and T are
@@ -173,13 +188,14 @@ def _wong_certificate(pencil: ConstPencil, reduced: tuple, d: int = 1) -> Certif
     U = kernel
     W = np.zeros((n, 0), dtype=stack.dtype)
     for _ in range(n + 2):
-        # U': a reduced basis of the n-blocks of U, in substituted_blowup's block order
-        U = mod_column_space(U.reshape(d, n, -1).transpose(1, 0, 2).reshape(n, -1), p)
+        if d > 1:
+            # U': a reduced basis of the n-blocks of U, in substituted_blowup's block order
+            U = mod_column_space(U.reshape(d, n, -1).transpose(1, 0, 2).reshape(n, -1), p)
         flat = _span_columns(stack, U, p)  # every B_k u, u in U'
-        Wn = mod_column_space(flat, p)
-        if Wn.shape[1] == W.shape[1]:
+        RW, _, dim, wpivots = mod_rref(flat.T, p)  # W' = the span of flat is RW[:dim].T
+        if dim == W.shape[1]:
             break
-        W = Wn
+        W = RW[:dim].T
         # E (F^d (x) W), one n-column block of E at a time
         EW = mod_matmul(E.reshape(-1, d, n).transpose(1, 0, 2), W, p)
         EW = EW.transpose(1, 0, 2).reshape(n * d, -1)
@@ -191,8 +207,10 @@ def _wong_certificate(pencil: ConstPencil, reduced: tuple, d: int = 1) -> Certif
     else:  # pragma: no cover - monotone dims stabilize within n steps
         raise AssertionError("Wong sequence failed to stabilize")
 
+    if d == 1:
+        U = mod_column_space(U, p)  # T needs the reduced basis of A^-1(W)
     # S: first r rows annihilate sum_k B_k U;  T: last s columns span U
-    left = mod_nullspace(Wn.T, p)  # columns x with x . w = 0 for w in the span
+    left = _rref_kernel(RW[:dim], wpivots, p)  # columns x with x . w = 0 for w in the span
     r, s = left.shape[1], U.shape[1]
     if d * (2 * n - r - s) != rho or np.any(mod_matmul(left.T, flat, p)):
         raise AssertionError("constructed certificate failed verification")
@@ -208,9 +226,10 @@ def solve_R(pencil: ConstPencil, seed: int) -> Certificate:
     Tries 3n substitution points of the pencil, then 3n points of its
     d-fold blow-up, d = n - 1 (from n = 3, where a rank gap can first
     appear).  A full-rank point short-circuits to the degenerate certificate
-    (I, I, 0, n); a point below the best rank seen so far cannot trap the
-    Wong sequence and is skipped.  Raises :class:`NcRankGapError` when no
-    point gives a certificate.
+    (I, I, 0, n); every rank that reached the Wong sequence without
+    returning escaped, so a point at or below the best rank seen so far at
+    its order cannot trap it and is skipped.  Raises :class:`NcRankGapError`
+    when no point gives a certificate.
 
     Substitution and the Wong sequence run on the live (nonzero) terms
     only; each point is drawn over all m terms and restricted to the live
@@ -236,7 +255,7 @@ def solve_R(pencil: ConstPencil, seed: int) -> Certificate:
                 ident = np.eye(n, dtype=pencil.stack.dtype)
                 ident.flags.writeable = False
                 return Certificate(ident, ident, 0, n, n)
-            if rank < best_rank:
+            if rank <= best_rank:  # that rank escaped already: below the maximum
                 continue
             best_rank = rank
             cert = _wong_certificate(pencil, reduced, d)

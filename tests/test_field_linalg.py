@@ -223,3 +223,16 @@ def test_mod_matmul_broadcasts_object_stacks():
         want = [[sum(int(a[k, i, t]) * int(b[k, t, j]) for t in range(4)) % P61
                  for j in range(5)] for i in range(2)]
         assert got[k].tolist() == want
+
+
+@pytest.mark.parametrize("p, inner", [(P, 2), (P, 3), (11, 10**4)])
+def test_mod_matmul_at_the_unsplit_bound(p, inner):
+    # inner (p-1)^2 < 2**63 takes one np.matmul: all-(p-1) operands give the
+    # largest sums, 2 (p-1)^2 just below 2**63 at p = 2**31 - 1 and 3 (p-1)^2
+    # above it, on the split path
+    assert (inner * (p - 1) ** 2 < 2**63) == (inner != 3)
+    a = np.full((2, inner), p - 1, dtype=np.int64)
+    b = np.full((inner, 3), p - 1, dtype=np.int64)
+    got = mod_matmul(a, b, p)
+    want = a.astype(object).dot(b.astype(object)) % p
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()

@@ -8,8 +8,11 @@ definitions: a reference step built from two full products, and the full
 `Certificate.check` on every certificate the oracle hands out.  The oracle's
 shortcuts are checked too: the unit-vector completion of S and T, and the
 escape test read off the one reduction of B, against a Wong sequence that
-eliminates for every preimage.
+eliminates for every preimage, and the skip of points whose rank already
+escaped, against the sample loop that runs Wong at every tie.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from degdet import (ConstPencil, LaurentMatrix, LaurentPencil, SolveOptions, gen
                     gen_dense, gen_rank1, random_bipartite_weights, solve, solve_R,
                     step_update)
 from degdet import laurent, ncrank, solver
-from degdet.errors import PositiveDegreeError
+from degdet.errors import NcRankGapError, PositiveDegreeError
 from degdet.field_linalg import (_dtype_for, _span_columns, as_residues, mod_column_space,
                                  mod_inverse_matrix, mod_matmul, mod_nullspace, mod_preimage,
                                  mod_rank, mod_rref)
@@ -161,15 +164,17 @@ def test_tampered_wong_step_fails_verification(monkeypatch):
     pencil = hidden_block_pencil(rng, 5, 3, 3, 3, p)
     honest = solve_R(pencil, seed=1)
     assert honest.r > 0 and honest.s > 0
-    real = ncrank.mod_nullspace
+    real = ncrank._rref_kernel
 
-    def tampered(a, q):
-        left = real(a, q)
-        # same shape, full column rank, so S stays invertible: only the zero
-        # block can catch it
-        return rng.integers(0, q, size=left.shape)
+    def tampered(R, pivots, q):
+        basis = real(R, pivots, q)
+        if R.shape[0] != len(pivots):  # ker B, read off all n rows of B's reduction
+            return basis
+        # `left`, read off the pivot rows of the span's reduction: same shape,
+        # full column rank, so S stays invertible: only the zero block can catch it
+        return rng.integers(0, q, size=basis.shape)
 
-    monkeypatch.setattr(ncrank, "mod_nullspace", tampered)
+    monkeypatch.setattr(ncrank, "_rref_kernel", tampered)
     with pytest.raises(AssertionError, match="failed verification"):
         solve_R(pencil, seed=1)
 
@@ -310,3 +315,93 @@ def test_wong_step_update_multiplies_only_the_dense_rows_and_columns(monkeypatch
     for (a, b), dense in zip(shapes, (r, s)):  # S's dense rows, then T's dense columns
         assert a[1] == b[0] == n and b[1] <= dense
         assert a[0] <= 2 * const.m * n  # at most one line per (term, degree, row or column)
+
+
+def reference_solve_R(pencil, seed):
+    """solve_R's sample loop before escaped ranks were skipped: a point whose
+    rank ties the best rank seen at its blow-up order runs Wong again."""
+    p, n, m = pencil.p, pencil.n, pencil.m
+    live = np.flatnonzero(pencil.stack.any(axis=(1, 2)))
+    if len(live) < m:
+        pencil = ConstPencil._wrap(p, pencil.stack[live])
+    rng = np.random.default_rng(seed)
+    for d in ((1, n - 1) if n > 2 else (1,)):
+        best_rank = -1
+        for _ in range(3 * n):
+            if d == 1:
+                A = pencil.substitute(rng.integers(0, p, size=m)[live])
+            else:
+                A = ncrank.substituted_blowup(pencil, rng.integers(0, p, size=(m, d, d))[live], d)
+            reduced = mod_rref(A, p, transform=True)
+            rank = reduced[2]
+            if rank == n * d:
+                ident = np.eye(n, dtype=pencil.stack.dtype)
+                return ncrank.Certificate(ident, ident, 0, n, n)
+            if rank < best_rank:
+                continue
+            best_rank = rank
+            cert = ncrank._wong_certificate(pencil, reduced, d)
+            if cert is not None:
+                return cert
+    raise NcRankGapError("no certificate")
+
+
+def oracle_calls_of_the_tiny_corpus():
+    """(pencil, seed) of every solve_R call of the n = 5 bipartite solves over
+    p = 5, 7 and 11, costs in [-5, 5] at density 0.6, seeds 0..59."""
+    calls, real = [], solver.solve_R
+
+    def recording(pencil, seed):
+        calls.append((pencil, seed))
+        return real(pencil, seed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "solve_R", recording)
+        for p in (5, 7, 11):
+            for s in range(60):
+                grid = random_bipartite_weights(5, s, (-5, 5), 0.6)
+                solve(gen_bipartite(grid, p=p), SolveOptions(seed=s))
+    return calls
+
+
+def test_escaped_rank_skips_wong_and_keeps_every_certificate(monkeypatch, skew3):
+    # A point whose Wong sequence escapes has rank below the maximum at its
+    # blow-up order (Ivanyos, Karpinski, Qiao and Santha 2015), so no later
+    # point of that rank can trap it: solve_R skips them, and returns what the
+    # old loop returned.
+    calls = oracle_calls_of_the_tiny_corpus()
+    for p in sorted(HIDDEN_BLOCK_RS):
+        rng = np.random.default_rng(p % 1009)
+        calls += [(hidden_block_pencil(rng, n, m, r0, s0, p), n)
+                  for n, m, r0, s0 in HIDDEN_BLOCK_SHAPES]
+    for p in (5, 7, 11, 2**31 - 1):
+        skew = ConstPencil(p, np.stack([np.array(m) for m in skew3]))
+        calls += [(skew, seed) for seed in range(8)]
+    runs, real = [], ncrank._wong_certificate
+
+    def wong(pencil, reduced, d=1):
+        cert = real(pencil, reduced, d)
+        runs.append((d, reduced[2], cert is not None))
+        return cert
+
+    monkeypatch.setattr(ncrank, "_wong_certificate", wong)
+    orders = {reference_solve_R: Counter(), solve_R: Counter()}  # Wong runs per order
+    for pencil, seed in calls:
+        outcomes = []
+        for oracle, count in orders.items():
+            runs.clear()
+            try:
+                cert = oracle(pencil, seed)
+                outcomes.append((cert.S.tolist(), cert.T.tolist(), cert.r, cert.s, cert.value))
+            except NcRankGapError:
+                outcomes.append("gap")
+            escaped = set()
+            for d, rank, trapped in runs:
+                assert not (trapped and (d, rank) in escaped), (d, rank)
+                if not trapped:
+                    escaped.add((d, rank))
+            count.update(d for d, _, _ in runs)
+        assert outcomes[0] == outcomes[1]
+    reference, skipping = orders.values()
+    # the skip is taken at both blow-up orders (skew3's is 2)
+    assert skipping[1] < reference[1] and skipping[2] < reference[2], (skipping, reference)
