@@ -202,13 +202,6 @@ def mod_preimage(a: np.ndarray, wbasis: np.ndarray, p: int) -> np.ndarray:
     return mod_column_space(null[: a.shape[1]], p)
 
 
-def _span_columns(stack: np.ndarray, ubasis: np.ndarray, p: int) -> np.ndarray:
-    """All columns B_k u as one (n, m*u) array."""
-    prods = mod_matmul(stack, ubasis, p)  # (m, n, u)
-    m, n, u = prods.shape
-    return prods.transpose(1, 0, 2).reshape(n, m * u)
-
-
 # ---------------------------------------------------------------------------
 # Public wrappers
 
@@ -270,5 +263,5 @@ def span_union(mats: Sequence[FieldMatrix], U: FieldMatrix) -> FieldMatrix:
     p = U.p
     if any(mat.p != p for mat in mats):
         raise DimensionMismatchError("span_union operands must share one modulus")
-    stack = np.stack([mat.data for mat in mats])
-    return FieldMatrix(p, mod_column_space(_span_columns(stack, U.data, p), p))
+    prods = mod_matmul(np.stack([mat.data for mat in mats]), U.data, p)  # every B_k u
+    return FieldMatrix(p, mod_column_space(np.concatenate(prods, axis=1), p))

@@ -8,9 +8,9 @@ twice.  The solver's four moves return a new pencil.  A certificate update
 column of T picks to their new row or column, and multiplies only the lines
 that meet S's other rows and T's other columns; t -> t^2 and t^-1 on chosen
 terms map the degrees, and truncation drops the deep entries.
-:func:`leading` scatters the degree-0 entries into a
-:class:`~degdet.ncrank.ConstPencil`, the constant-pencil type the
-certificate oracle takes.  :class:`LaurentMatrix` is the per-term view
+:func:`leading` keeps the degree-0 entries as a
+:class:`~degdet.ncrank.ConstPencil`, the entry store without degrees that
+the certificate oracle takes.  :class:`LaurentMatrix` is the per-term view
 (:attr:`LaurentPencil.terms`, :meth:`LaurentPencil.from_terms`).
 """
 
@@ -193,11 +193,10 @@ def _mix(M: np.ndarray, m: int, term: np.ndarray, degree: np.ndarray, a: np.ndar
 
 
 def leading(pencil: LaurentPencil) -> ConstPencil:
-    """The constant pencil of degree-0 coefficients (zero where a term has none)."""
-    stack = np.zeros((pencil.m, pencil.n, pencil.n), dtype=_dtype_for(pencil.p))
+    """The constant pencil of the degree-0 entries (zero where a term has none)."""
     top = pencil.degree == 0
-    stack[pencil.term[top], pencil.row[top], pencil.col[top]] = pencil.value[top]
-    return ConstPencil._wrap(pencil.p, stack)
+    return ConstPencil._wrap(pencil.p, pencil.n, pencil.m, pencil.term[top], pencil.row[top],
+                             pencil.col[top], pencil.value[top])
 
 
 def step_update(pencil: LaurentPencil, S: np.ndarray, T: np.ndarray,

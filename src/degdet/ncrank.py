@@ -17,14 +17,14 @@ shrunk subspace U of the pencil itself (Ivanyos, Karpinski, Qiao and Santha
 2015), whose certificate has value rank A / (n-1).  Only when the blow-up
 points fail too is :class:`NcRankGapError` raised.
 
-Only the live terms, those with a nonzero B_k, take part: the substitution
-and the Wong sequence run on them alone.  The random point is still drawn
-over all m terms and then restricted to the live ones, so B, every subspace
-and every certificate are those of the full pencil (a zero B_k adds only
-zero columns B_k u, and the reduced-echelon column space ignores them).
+The oracle reads the pencil's nonzero entries: a substitution scatters
+point_k times each entry of B_k, and a Wong step forms every column B_k u
+of the live terms (those with an entry) the same way; a zero B_k adds only
+zero columns, which the reduced-echelon column space ignores.  Points are
+drawn over all m terms, so every subspace is that of the full pencil.
 
 Each sampled B is reduced once, E B = R, and so is each blow-up point A,
-which :func:`substituted_blowup` evaluates without building the blow-up.
+which :func:`substituted_blowup` evaluates from the blow-up's entries.
 Its rank decides the full-rank exit, ker B is read off R, and each Wong
 step gets B^-1(W) and the test of W against im B from the one product E W.
 At d = 1 the sequence runs on that preimage basis [ker B | X_W] as it is
@@ -54,7 +54,8 @@ substitution of the (n-1)-blow-up (nc-rank is n exactly when a d-fold blow-up
 has full commutative rank for d = n - 1), is kept as an independent check;
 the solver does not call it.
 
-:class:`ConstPencil` is the one constant-pencil type: the solver's leading
+:class:`ConstPencil` is the one constant-pencil type, an entry store like
+:class:`~degdet.laurent.LaurentPencil` without degrees: the solver's leading
 pencils (:func:`degdet.laurent.leading`) and the blow-ups of
 :func:`build_blowup` are all of it.
 """
@@ -66,57 +67,67 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NcRankGapError
-from .field_linalg import (_rref_kernel, _span_columns, as_residues, mod_column_space,
-                           mod_matmul, mod_rank, mod_rref)
+from .field_linalg import _rref_kernel, as_residues, mod_column_space, mod_matmul, mod_rank, mod_rref
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ConstPencil:
-    """A constant linear pencil sum_k B_k x_k, stored as an (m, n, n) stack."""
+    """A constant pencil sum_k B_k x_k of m n x n terms over GF(p): the nonzero
+    entries as read-only (E,) arrays term, row, col and value, as in
+    :class:`~degdet.laurent.LaurentPencil`.  ``ConstPencil(p, stack)`` keeps
+    the nonzero entries of a reduced and checked (m, n, n) stack."""
 
     p: int
-    stack: np.ndarray
+    n: int
+    m: int
+    term: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
 
-    def __post_init__(self):
-        arr = as_residues(self.stack, self.p)
+    def __init__(self, p: int, stack) -> None:
+        arr = as_residues(stack, p)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise DimensionMismatchError(f"pencil stack must be (m, n, n), got {arr.shape}")
         if arr.shape[0] < 1:
             raise DimensionMismatchError("pencil needs at least one term")
-        arr.flags.writeable = False
-        object.__setattr__(self, "stack", arr)
+        term, row, col = np.nonzero(arr)
+        self._fill(p, arr.shape[1], arr.shape[0], term, row, col, arr[term, row, col])
 
     @classmethod
-    def _wrap(cls, p: int, stack: np.ndarray) -> "ConstPencil":
-        # internal fast path: an (m, n, n) stack, already reduced mod p, that
-        # nobody writes to (a fresh one, or an Instance's read-only stack)
-        stack.flags.writeable = False
+    def _wrap(cls, *fields) -> "ConstPencil":
+        # internal fast path: p, n, m, then entries reduced, nonzero, no (term, row, col) twice
         obj = object.__new__(cls)
-        object.__setattr__(obj, "p", p)
-        object.__setattr__(obj, "stack", stack)
+        obj._fill(*fields)
         return obj
 
-    @property
-    def m(self) -> int:
-        return self.stack.shape[0]
+    def _fill(self, p, n, m, term, row, col, value) -> None:
+        for arr in (term, row, col, value):
+            arr.flags.writeable = False
+        self.__dict__.update(p=p, n=n, m=m, term=term, row=row, col=col, value=value)
 
     @property
-    def n(self) -> int:
-        return self.stack.shape[1]
+    def stack(self) -> np.ndarray:
+        """The dense read-only (m, n, n) stack, built on each read (desk-scale checks)."""
+        stack = np.zeros((self.m, self.n, self.n), dtype=self.value.dtype)
+        stack[self.term, self.row, self.col] = self.value
+        stack.flags.writeable = False
+        return stack
 
     def substitute(self, point: np.ndarray) -> np.ndarray:
-        """Evaluate sum_k point_k B_k over GF(p)."""
-        lam = np.asarray(point, dtype=self.stack.dtype)
-        # one product then reduce: products < p**2 fit, the sum of reduced
-        # residues stays far below 2**63 for any desk-scale m
-        return (lam[:, None, None] * self.stack % self.p).sum(axis=0) % self.p
+        """Evaluate sum_k point_k B_k over GF(p) by one scatter of the entries."""
+        B = np.zeros((self.n, self.n), dtype=self.value.dtype)
+        # products < p**2 fit; a cell sums at most m reduced residues
+        lam = np.asarray(point, dtype=B.dtype)[self.term]
+        np.add.at(B, (self.row, self.col), lam * self.value % self.p)
+        return B % self.p
 
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
     """An (R) solution: S B_k T has a zero upper-right r x s block for all k.
 
-    S and T are (n, n) residue arrays, read-only and of the stack's dtype as
+    S and T are (n, n) residue arrays, read-only and of the pencil's dtype as
     :func:`solve_R` returns them; certificates compare by identity.
     """
 
@@ -182,16 +193,20 @@ def _wong_certificate(pencil: ConstPencil, reduced: tuple, d: int = 1) -> Certif
     invertible by construction, through :func:`_unit_completion`.
     """
     p, n = pencil.p, pencil.n
-    stack = pencil.stack
+    live = np.cumsum(np.bincount(pencil.term, minlength=pencil.m) > 0)  # live terms up to k
+    lives, slot = int(live[-1]), live[pencil.term] - 1  # each entry's index among them
     R, E, rho, pivots = reduced
     kernel = _rref_kernel(R, pivots, p)
     U = kernel
-    W = np.zeros((n, 0), dtype=stack.dtype)
+    W = np.zeros((n, 0), dtype=pencil.value.dtype)
     for _ in range(n + 2):
         if d > 1:
             # U': a reduced basis of the n-blocks of U, in substituted_blowup's block order
             U = mod_column_space(U.reshape(d, n, -1).transpose(1, 0, 2).reshape(n, -1), p)
-        flat = _span_columns(stack, U, p)  # every B_k u, u in U'
+        # every B_k u, u in U', k live: one scatter of the entries times the rows of U'
+        prods = np.zeros((n, lives, U.shape[1]), dtype=U.dtype)
+        np.add.at(prods, (pencil.row, slot), pencil.value[:, None] * U[pencil.col] % p)
+        flat = prods.reshape(n, -1) % p
         RW, _, dim, wpivots = mod_rref(flat.T, p)  # W' = the span of flat is RW[:dim].T
         if dim == W.shape[1]:
             break
@@ -230,29 +245,21 @@ def solve_R(pencil: ConstPencil, seed: int) -> Certificate:
     returning escaped, so a point at or below the best rank seen so far at
     its order cannot trap it and is skipped.  Raises :class:`NcRankGapError`
     when no point gives a certificate.
-
-    Substitution and the Wong sequence run on the live (nonzero) terms
-    only; each point is drawn over all m terms and restricted to the live
-    ones, so the random stream and the certificate are those of the whole
-    pencil.
     """
     p, n, m = pencil.p, pencil.n, pencil.m
-    live = np.flatnonzero(pencil.stack.any(axis=(1, 2)))
-    if len(live) < m:
-        pencil = ConstPencil._wrap(p, pencil.stack[live])
     rng = np.random.default_rng(seed)
     orders = (1, n - 1) if n > 2 else (1,)
     for d in orders:
         best_rank = -1
         for _ in range(3 * n):
             if d == 1:
-                A = pencil.substitute(rng.integers(0, p, size=m)[live])
+                A = pencil.substitute(rng.integers(0, p, size=m))
             else:
-                A = substituted_blowup(pencil, rng.integers(0, p, size=(m, d, d))[live], d)
+                A = substituted_blowup(pencil, rng.integers(0, p, size=(m, d, d)), d)
             reduced = mod_rref(A, p, transform=True)
             rank = reduced[2]
             if rank == n * d:
-                ident = np.eye(n, dtype=pencil.stack.dtype)
+                ident = np.eye(n, dtype=pencil.value.dtype)
                 ident.flags.writeable = False
                 return Certificate(ident, ident, 0, n, n)
             if rank <= best_rank:  # that rank escaped already: below the maximum
@@ -271,22 +278,19 @@ def build_blowup(pencil: ConstPencil, d: int) -> ConstPencil:
     coefficient A_k placed at block (i, j)."""
     if d < 1:
         raise DimensionMismatchError("blow-up order must be >= 1")
-    units = np.eye(d * d, dtype=np.int64).reshape(d * d, d, d)
-    # np.kron keeps an object stack's dtype, so 62-bit moduli stay exact
-    return ConstPencil._wrap(pencil.p, np.stack([np.kron(e, a) for a in pencil.stack
-                                                 for e in units]))
+    n = pencil.n
+    i, j = np.divmod(np.arange(d * d), d)  # each entry repeats once per block (i, j)
+    return ConstPencil._wrap(pencil.p, n * d, pencil.m * d * d,
+                             (pencil.term[:, None] * d * d + i * d + j).ravel(),
+                             (pencil.row[:, None] + i * n).ravel(),
+                             (pencil.col[:, None] + j * n).ravel(),
+                             np.repeat(pencil.value, d * d))
 
 
 def substituted_blowup(pencil: ConstPencil, point: np.ndarray, d: int) -> np.ndarray:
-    """Evaluate the d-blow-up at x_{k,i,j} = point[k,i,j] without materializing it.
-
-    Block (i, j) of the result is sum_k point[k,i,j] B_k: one (d^2, m) by
-    (m, n^2) product, rearranged into the (n d, n d) block matrix.
-    """
-    m, n = pencil.m, pencil.n
-    points = np.asarray(point).reshape(m, d * d).T
-    blocks = mod_matmul(points, pencil.stack.reshape(m, n * n), pencil.p)
-    return blocks.reshape(d, d, n, n).transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    """Evaluate the d-blow-up at x_{k,i,j} = point[k,i,j], from the blow-up's
+    entries: point[k,i,j] B_k lands in block (i, j), and no dense stack is built."""
+    return build_blowup(pencil, d).substitute(np.ravel(point))
 
 
 def is_nc_nonsingular(pencil: ConstPencil, seed: int) -> bool:

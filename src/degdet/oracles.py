@@ -174,7 +174,7 @@ def degdet_blowup(inst: Instance, seed: int = 0) -> int | MinusInfinity:
     d = max(1, n - 1)
     if d == 1:
         return degdet_commutative(inst, seed=seed)
-    blow = build_blowup(ConstPencil._wrap(inst.p, inst.stack), d)
+    blow = build_blowup(ConstPencil(inst.p, inst.stack), d)
     costs = [c for c in inst.costs for _ in range(d * d)]
     blow_inst = Instance.from_arrays(inst.p, blow.stack, costs,
                                      {"blowup_of": dict(inst.meta), "d": d})

@@ -161,10 +161,11 @@ def solve_and_extract(part: PartitionedInstance, opts: SolveOptions | None = Non
         return MINUS_INFINITY, None
     # the tight blocks (a degree-0 entry), in term order, less each one whose
     # removal keeps a random substitution of the remaining ones full rank
-    tight = np.unique(pencil.term[pencil.degree == 0])
+    top = leading(pencil)
+    tight = np.unique(top.term)
     cells = [edges[k] for k in tight]
     lam = np.random.default_rng(np.random.SeedSequence((opts.seed, 0x2B))).integers(1, p, len(cells))
-    terms = [int(c) * slab % p for c, slab in zip(lam, leading(pencil).stack[tight])]
+    terms = [top.substitute(c * (np.arange(pencil.m) == k)) for c, k in zip(lam, tight)]
     acc, kept = sum(terms) % p, []
     for cell, term in zip(cells, terms):
         if mod_rank(rest := (acc - term) % p, p) == pencil.n:

@@ -172,9 +172,9 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
     tight terms.
 
     The certificate of the constant pencil decides singularity; that pencil
-    is the instance's read-only residue stack itself, wrapped without a
-    copy.  With scaling the first phase starts on that same pencil, so the
-    certificate also answers the first phase's first oracle call; without
+    holds the nonzero entries of the instance's stack, found once, and every
+    phase-0 entry array is one of its arrays.  With scaling phase 0 is that
+    pencil, so the certificate also answers its first oracle call; without
     scaling it is an extra call, not counted in `oracle_calls`.  Every
     oracle call, rank-gap pencils included, is answered by a verified
     certificate or raises NcRankGapError out of the solve.
@@ -188,11 +188,13 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
 
     pencil = witness = None
     done: list[tuple[int, int, float]] = []  # (D*, oracle calls, seconds) per phase
-    cert = solve_R(ConstPencil._wrap(inst.p, inst.stack), int(rng.integers(0, 2**63)))
+    term, row, col = np.nonzero(inst.stack)
+    const = ConstPencil._wrap(inst.p, n, inst.m, term, row, col, inst.stack[term, row, col])
+    cert = solve_R(const, int(rng.integers(0, 2**63)))
     if cert.value < n:
         value, witness = MINUS_INFINITY, cert
     else:
-        pencil, done = _descend(inst, shifted, opts, rng, lim, cert)
+        pencil, done = _descend(const, shifted, opts, rng, lim, cert)
         value = done[-1][0] - n * b
     dstars, calls, seconds = zip(*done) if done else ((), (), ())
     report = SolveReport(value, dstars, calls, len(done), sum(calls), b,
@@ -200,17 +202,17 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
     return report, pencil
 
 
-def _descend(inst: Instance, shifted: tuple[int, ...], opts: SolveOptions,
+def _descend(const: ConstPencil, shifted: tuple[int, ...], opts: SolveOptions,
              rng: np.random.Generator, lim: _Limits, first: Certificate
              ) -> tuple[LaurentPencil, list[tuple[int, int, float]]]:
     """Phases theta = 0..N on the costs scaled by 2^-N (see the module docstring).
 
     Returns the final pencil and (D*, oracle calls, seconds) per phase.
 
-    With scaling phase 0 starts on the constant pencil, whose certificate
-    `first` answers the first oracle call; without scaling N = 0.
+    Phase 0 is `const`'s entries at the scaled degrees; with scaling it is
+    `const`, whose certificate `first` answers the first oracle call.
     """
-    n = inst.n
+    n = const.n
     cmax = max(shifted)
     if opts.scaling_enabled:
         num_doublings = (cmax - 1).bit_length()  # ceil(log2 cmax) for cmax >= 1
@@ -218,8 +220,9 @@ def _descend(inst: Instance, shifted: tuple[int, ...], opts: SolveOptions,
         num_doublings, first = 0, None
     scale = 1 << num_doublings
     top = _ceil_div(cmax, scale)
-    pencil = LaurentPencil.from_constants(inst.p, inst.stack,
-                                          [_ceil_div(c, scale) - top for c in shifted])
+    degree = np.array([_ceil_div(c, scale) - top for c in shifted], dtype=np.int64)
+    pencil = LaurentPencil._wrap(const.p, n, const.m, const.term, degree[const.term],
+                                 const.row, const.col, const.value)
     dstar = n * top
     done = []
     for theta in range(num_doublings + 1):

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from itertools import permutations
 
+import numpy as np
 import pytest
 
-from degdet import DEFAULT_PRIME, MINUS_INFINITY
+from degdet import DEFAULT_PRIME, MINUS_INFINITY, ConstPencil
 
 P = DEFAULT_PRIME
 
@@ -103,6 +104,17 @@ def unit_matrix(i, j, n):
     out = [[0] * n for _ in range(n)]
     out[i][j] = 1
     return out
+
+
+def interleaved_pencils(p, seed):
+    """Three terms u_k v of nc-rank 2 with zero slabs between them, and their live part."""
+    rng = np.random.default_rng(seed)
+    n = 4
+    v = rng.integers(0, p, size=(2, n)).astype(object)
+    live = [rng.integers(0, p, size=(n, 2)).astype(object) @ v % p for _ in range(3)]
+    zero = np.zeros((n, n), dtype=int)
+    full = ConstPencil(p, np.stack([zero, live[0], zero, zero, live[1], live[2], zero]))
+    return full, ConstPencil(p, np.stack(live)), [1, 4, 5]
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from degdet.errors import DimensionMismatchError, NcRankGapError
 from degdet.field_linalg import mod_rank, mod_rref
 from degdet.ncrank import _wong_certificate, substituted_blowup
 
-from conftest import brute_rank_mod, unit_matrix
+from conftest import brute_rank_mod, interleaved_pencils, unit_matrix
 
 P = DEFAULT_PRIME
 
@@ -192,20 +192,9 @@ def test_const_pencil_refuses_a_ragged_stack(p):
         ConstPencil(p, [np.eye(2, dtype=int), np.eye(3, dtype=int)])
 
 
-def _interleaved(p, seed):
-    """Three terms u_k v of nc-rank 2 with zero slabs between them, and their live part."""
-    rng = np.random.default_rng(seed)
-    n = 4
-    v = rng.integers(0, p, size=(2, n)).astype(object)
-    live = [rng.integers(0, p, size=(n, 2)).astype(object) @ v % p for _ in range(3)]
-    zero = np.zeros((n, n), dtype=int)
-    full = ConstPencil(p, np.stack([zero, live[0], zero, zero, live[1], live[2], zero]))
-    return full, ConstPencil(p, np.stack(live)), [1, 4, 5]
-
-
 @pytest.mark.parametrize("p", [5, P, 2**61 - 1])
 def test_wong_certificate_ignores_zero_slabs(p):
-    full, part, live = _interleaved(p, seed=p % 97)
+    full, part, live = interleaved_pencils(p, seed=p % 97)
     rng = np.random.default_rng(11)
     for _ in range(4):
         lam = rng.integers(0, p, size=full.m)
@@ -221,7 +210,7 @@ def test_wong_certificate_ignores_zero_slabs(p):
 
 @pytest.mark.parametrize("p", [5, P, 2**61 - 1])
 def test_solve_r_on_live_terms_certifies_the_full_pencil(p):
-    full, part, _ = _interleaved(p, seed=p % 89)
+    full, part, _ = interleaved_pencils(p, seed=p % 89)
     cert = solve_R(full, seed=3)
     assert (cert.value, cert.r + cert.s) == (2, 6)
     assert cert.check(full) and cert.check(part)
@@ -278,7 +267,7 @@ def test_bipartite_n16_solve_pencils_store_at_most_m_entries(monkeypatch):
 
 @pytest.mark.parametrize("p", [5, P, 2**61 - 1])
 def test_certificates_hold_readonly_square_arrays_of_the_stack_dtype(p):
-    full, _, _ = _interleaved(p, seed=p % 83)
+    full, _, _ = interleaved_pencils(p, seed=p % 83)
     wide = ConstPencil(p, np.stack([np.eye(4, dtype=int), np.ones((4, 4), dtype=int)]))
     certs = [solve_R(full, seed=3), solve_R(wide, seed=0)]
     assert [(c.r, c.s) for c in certs] == [(4, 2), (0, 4)]  # a Wong and a degenerate one

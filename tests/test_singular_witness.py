@@ -7,14 +7,16 @@ as an explicit error, never as a wrong value.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from degdet import (ConstPencil, DegDetError, SolveOptions, gen_bipartite, hungarian,
+from degdet import (ConstPencil, DegDetError, SolveOptions, gen_bipartite, gen_rank1, hungarian,
                     is_minus_infinity, random_bipartite_weights, save, solve)
 from degdet import ncrank, solver
 from degdet.cli import main
+from degdet.field_linalg import as_residues
 
 # Bipartite n = 5, density 0.6, costs +-5, seeds 0-59: over p <= 7 a one-sided
 # blow-up test used to report some nonsingular instances as -inf.
@@ -94,15 +96,34 @@ def test_cli_prints_witness_sizes(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["singular_certificate"] is None
 
 
-def test_singularity_call_reads_the_instance_stack_without_a_copy(monkeypatch):
-    inst = gen_bipartite([[1, 2], [None, 3]])
-    seen = []
+def test_phase_zero_starts_from_the_singularity_pencils_entries(monkeypatch):
+    # one np.nonzero of the instance stack feeds the singularity call and
+    # phase 0, and no as_residues call of a solve copies a 3-D stack
+    insts = [gen_bipartite([[1, 2], [None, 3]]), gen_rank1(4, 6, seed=2, cost_range=(-9, 9))]
+    pencils, phases, ndims = [], [], []
+    real_solve_R, real_phase, real_residues = solver.solve_R, solver._run_phase, as_residues
 
-    def recording(pencil, seed):
-        seen.append(pencil)
-        return real(pencil, seed)
+    def solve_R(pencil, seed):
+        pencils.append(pencil)
+        return real_solve_R(pencil, seed)
 
-    real = solver.solve_R
-    monkeypatch.setattr(solver, "solve_R", recording)
-    assert solver.solve(inst).value == 4
-    assert np.shares_memory(seen[0].stack, inst.stack)
+    def run_phase(pencil, *args):
+        phases.append(pencil)
+        return real_phase(pencil, *args)
+
+    def residues(data, p):
+        ndims.append(np.ndim(data))
+        return real_residues(data, p)
+
+    monkeypatch.setattr(solver, "solve_R", solve_R)
+    monkeypatch.setattr(solver, "_run_phase", run_phase)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("degdet") and getattr(module, "as_residues", None) is real_residues:
+            monkeypatch.setattr(module, "as_residues", residues)
+    for inst in insts:
+        pencils.clear()
+        phases.clear()
+        assert not is_minus_infinity(solver.solve(inst).value)
+        for field in ("term", "row", "col", "value"):
+            assert np.shares_memory(getattr(phases[0], field), getattr(pencils[0], field))
+    assert ndims and max(ndims) < 3

@@ -8,8 +8,9 @@ definitions: a reference step built from two full products, and the full
 `Certificate.check` on every certificate the oracle hands out.  The oracle's
 shortcuts are checked too: the unit-vector completion of S and T, and the
 escape test read off the one reduction of B, against a Wong sequence that
-eliminates for every preimage, and the skip of points whose rank already
-escaped, against the sample loop that runs Wong at every tie.
+eliminates for every preimage, and the whole oracle, which reads the
+pencil's entries and skips points whose rank already escaped, against a
+dense sample loop that runs that sequence at every tie.
 """
 
 from collections import Counter
@@ -22,9 +23,10 @@ from degdet import (ConstPencil, LaurentMatrix, LaurentPencil, SolveOptions, gen
                     step_update)
 from degdet import laurent, ncrank, solver
 from degdet.errors import NcRankGapError, PositiveDegreeError
-from degdet.field_linalg import (_dtype_for, _span_columns, as_residues, mod_column_space,
-                                 mod_inverse_matrix, mod_matmul, mod_nullspace, mod_preimage,
-                                 mod_rank, mod_rref)
+from degdet.field_linalg import (_dtype_for, as_residues, mod_column_space, mod_inverse_matrix,
+                                 mod_matmul, mod_nullspace, mod_preimage, mod_rank, mod_rref)
+
+from conftest import interleaved_pencils
 
 PRIMES = [5, 2**31 - 1, 2**61 - 1]  # the last one runs on object arrays
 
@@ -192,19 +194,27 @@ def test_unit_completion_of_echelon_and_nullspace_bases_is_invertible(p):
                 assert mod_rank(full, p) == n, (n, k, last)
 
 
-def reference_wong(pencil, B, rho):
-    """T's last s columns by a fresh preimage elimination per step, or None
-    when a preimage comes out short of n - rho + dim W (W escapes im B)."""
-    p, n = pencil.p, pencil.n
-    W = np.zeros((n, 0), dtype=pencil.stack.dtype)
-    U = mod_preimage(B, W, p)
+def dense_span(stack, U, p):
+    """Every column B_k u, u a column of U, from a dense (m, n, n) stack."""
+    return mod_matmul(stack, U, p).transpose(1, 0, 2).reshape(stack.shape[1], -1)
+
+
+def reference_wong(stack, p, A, rho, d=1):
+    """T's last s columns, at a point A of rank rho of the d-fold blow-up, by a
+    fresh preimage elimination per step, or None when a preimage comes out
+    short of n d - rho + d dim W (F^d (x) W escapes im A).  U' is the column
+    space of the n-blocks of each preimage."""
+    n = stack.shape[1]
+    W = np.zeros((n, 0), dtype=stack.dtype)
+    U = mod_preimage(A, np.zeros((n * d, 0), dtype=stack.dtype), p)
     while True:
-        Wn = mod_column_space(_span_columns(pencil.stack, U, p), p)
+        U = mod_column_space(U.reshape(d, n, -1).transpose(1, 0, 2).reshape(n, -1), p)
+        Wn = mod_column_space(dense_span(stack, U, p), p)
         if Wn.shape[1] == W.shape[1]:
             return U
         W = Wn
-        U = mod_preimage(B, W, p)
-        if U.shape[1] != n - rho + W.shape[1]:
+        U = mod_preimage(A, np.kron(np.eye(d, dtype=W.dtype), W), p)
+        if U.shape[1] != n * d - rho + d * W.shape[1]:
             return None
 
 
@@ -223,7 +233,7 @@ def test_escape_read_off_e_times_w_agrees_with_the_preimage_dimension(p, skew3):
             reduced = mod_rref(B, p, transform=True)
             if reduced[2] == pencil.n:
                 continue
-            want = reference_wong(pencil, B, reduced[2])
+            want = reference_wong(pencil.stack, p, B, reduced[2])
             got = ncrank._wong_certificate(pencil, reduced)
             assert (got is None) == (want is None)
             if got is None:
@@ -318,31 +328,37 @@ def test_wong_step_update_multiplies_only_the_dense_rows_and_columns(monkeypatch
 
 
 def reference_solve_R(pencil, seed):
-    """solve_R's sample loop before escaped ranks were skipped: a point whose
-    rank ties the best rank seen at its blow-up order runs Wong again."""
+    """solve_R on the dense stack of the live terms, before escaped ranks were
+    skipped: each point is substituted densely, a point whose rank ties the
+    best rank seen at its blow-up order runs Wong again, and Wong is
+    :func:`reference_wong` on every B_k u formed by a dense product."""
     p, n, m = pencil.p, pencil.n, pencil.m
     live = np.flatnonzero(pencil.stack.any(axis=(1, 2)))
-    if len(live) < m:
-        pencil = ConstPencil._wrap(p, pencil.stack[live])
+    stack = pencil.stack[live]
     rng = np.random.default_rng(seed)
     for d in ((1, n - 1) if n > 2 else (1,)):
         best_rank = -1
         for _ in range(3 * n):
             if d == 1:
-                A = pencil.substitute(rng.integers(0, p, size=m)[live])
+                lam = rng.integers(0, p, size=m)[live].astype(stack.dtype)
+                A = (lam[:, None, None] * stack % p).sum(axis=0) % p
             else:
-                A = ncrank.substituted_blowup(pencil, rng.integers(0, p, size=(m, d, d))[live], d)
-            reduced = mod_rref(A, p, transform=True)
-            rank = reduced[2]
+                point = rng.integers(0, p, size=(m, d, d))[live].reshape(len(live), d * d)
+                blocks = mod_matmul(point.T, stack.reshape(len(live), n * n), p)
+                A = blocks.reshape(d, d, n, n).transpose(0, 2, 1, 3).reshape(n * d, n * d)
+            rank = mod_rank(A, p)
             if rank == n * d:
-                ident = np.eye(n, dtype=pencil.stack.dtype)
+                ident = np.eye(n, dtype=stack.dtype)
                 return ncrank.Certificate(ident, ident, 0, n, n)
             if rank < best_rank:
                 continue
             best_rank = rank
-            cert = ncrank._wong_certificate(pencil, reduced, d)
-            if cert is not None:
-                return cert
+            U = reference_wong(stack, p, A, rank, d)
+            if U is not None:
+                left = mod_nullspace(dense_span(stack, U, p).T, p)
+                S = np.concatenate([left, ncrank._unit_completion(left, last=True)], axis=1).T
+                T = np.concatenate([ncrank._unit_completion(U), U], axis=1)
+                return ncrank.Certificate(S, T, left.shape[1], U.shape[1], rank // d)
     raise NcRankGapError("no certificate")
 
 
@@ -365,26 +381,34 @@ def oracle_calls_of_the_tiny_corpus():
 
 
 def test_escaped_rank_skips_wong_and_keeps_every_certificate(monkeypatch, skew3):
-    # A point whose Wong sequence escapes has rank below the maximum at its
-    # blow-up order (Ivanyos, Karpinski, Qiao and Santha 2015), so no later
-    # point of that rank can trap it: solve_R skips them, and returns what the
-    # old loop returned.
+    # solve_R reads the pencil's entries and gives what the dense reference
+    # gives.  A point whose Wong sequence escapes has rank below the maximum
+    # at its blow-up order (Ivanyos, Karpinski, Qiao and Santha 2015), so no
+    # later point of that rank can trap it: solve_R skips them, the
+    # reference does not.
     calls = oracle_calls_of_the_tiny_corpus()
     for p in sorted(HIDDEN_BLOCK_RS):
         rng = np.random.default_rng(p % 1009)
         calls += [(hidden_block_pencil(rng, n, m, r0, s0, p), n)
                   for n, m, r0, s0 in HIDDEN_BLOCK_SHAPES]
-    for p in (5, 7, 11, 2**31 - 1):
+    for p in (5, 7, 11, 2**31 - 1, 2**61 - 1):  # 2^61 - 1 scatters object residues
         skew = ConstPencil(p, np.stack([np.array(m) for m in skew3]))
         calls += [(skew, seed) for seed in range(8)]
-    runs, real = [], ncrank._wong_certificate
+        calls += [(interleaved_pencils(p, seed)[0], seed) for seed in range(4)]  # dead terms
+    runs, real, real_reference = [], ncrank._wong_certificate, reference_wong
 
     def wong(pencil, reduced, d=1):
         cert = real(pencil, reduced, d)
         runs.append((d, reduced[2], cert is not None))
         return cert
 
+    def reference(stack, p, A, rho, d=1):
+        U = real_reference(stack, p, A, rho, d)
+        runs.append((d, rho, U is not None))
+        return U
+
     monkeypatch.setattr(ncrank, "_wong_certificate", wong)
+    monkeypatch.setitem(globals(), "reference_wong", reference)
     orders = {reference_solve_R: Counter(), solve_R: Counter()}  # Wong runs per order
     for pencil, seed in calls:
         outcomes = []

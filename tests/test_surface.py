@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import degdet
-from degdet import (FieldMatrix, LaurentMatrix, LaurentPencil, SolveOptions, cli, gen_2x2,
-                    gen_bipartite, gen_integer, gen_rank1, is_minus_infinity, solve,
+from degdet import (ConstPencil, FieldMatrix, LaurentMatrix, LaurentPencil, SolveOptions, cli,
+                    gen_2x2, gen_bipartite, gen_integer, gen_rank1, is_minus_infinity, solve,
                     solve_and_extract, solve_rational_report)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -58,7 +58,9 @@ def test_wrapper_members_are_the_snapshot():
         "coeffs", "degrees", "depth", "n", "p", "scale_tinv", "square_substitute"]
 
 
-def test_solve_paths_never_build_the_wrapper_layer(monkeypatch):
+def _solve_runs():
+    """Five solve paths and their results: bipartite, rank-1, singular,
+    partitioned with its 2-matching, and rational."""
     part = gen_2x2(3, seed=4, rank_profile=[[2, 1, 0], [1, 2, 1], [0, 1, 2]])
     runs = (
         lambda: solve(gen_bipartite([[3, -1, 4], [1, -5, 9], [2, 6, -5]])).value,
@@ -70,9 +72,15 @@ def test_solve_paths_never_build_the_wrapper_layer(monkeypatch):
     expected = [run() for run in runs]
     assert expected[0] == 18 and is_minus_infinity(expected[2])
     assert expected[3][1] is not None
+    return runs, expected
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a solve path built a wrapper")
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a solve path reached a refused member")
+
+
+def test_solve_paths_never_build_the_wrapper_layer(monkeypatch):
+    runs, expected = _solve_runs()
 
     monkeypatch.setattr(FieldMatrix, "__post_init__", refuse)
     monkeypatch.setattr(LaurentMatrix, "__post_init__", refuse)
@@ -81,6 +89,16 @@ def test_solve_paths_never_build_the_wrapper_layer(monkeypatch):
     monkeypatch.setattr(LaurentPencil, "from_terms", refuse)
     with pytest.raises(AssertionError):  # the guard itself is live
         FieldMatrix(2, [[1]])
+    assert [run() for run in runs] == expected
+
+
+def test_solve_paths_never_build_a_dense_constant_pencil(monkeypatch):
+    # the oracle, the leading pencils and the 2-matching extraction read the
+    # entries; only the desk-scale verifiers build ConstPencil.stack
+    runs, expected = _solve_runs()
+    monkeypatch.setattr(ConstPencil, "stack", property(refuse))
+    with pytest.raises(AssertionError):  # the guard itself is live
+        ConstPencil(2, [[[1]]]).stack
     assert [run() for run in runs] == expected
 
 
@@ -107,7 +125,7 @@ def test_private_kernel_names_imported_elsewhere_are_the_snapshot():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module == "field_linalg":
                 reached |= {alias.name for alias in node.names if alias.name.startswith("_")}
-    assert reached == {"_dtype_for", "_rref_kernel", "_span_columns"}
+    assert reached == {"_dtype_for", "_rref_kernel"}
 
 
 def _module_trees():
