@@ -17,6 +17,7 @@ as the budget holds, :class:`AllPrimesFailedError` is raised.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import count
 
 from .errors import (AllPrimesFailedError, DimensionMismatchError,
                      IterationBoundExceededError, PrecisionUnsupportedError,
@@ -76,13 +77,20 @@ def prime_budget(n: int, entry_bound: int) -> PrimeBudget:
     return PrimeBudget(d, ell, tuple(primes))
 
 
+_WORD_PRIMES = [2**31 - 1]  # the odd primes below 2**31 found so far, descending
+
+
 def _word_primes():
-    """Every odd prime below 2**31, descending."""
-    q = 2**31 - 1
-    while q > 2:
-        if is_prime(q):
-            yield q
-        q -= 2
+    """Every odd prime below 2**31, descending; each candidate is tested once per process."""
+    for idx in count():
+        q = _WORD_PRIMES[-1]
+        while idx == len(_WORD_PRIMES) and q > 3:  # the next prime below the last one found
+            q -= 2
+            if is_prime(q):
+                _WORD_PRIMES.append(q)
+        if idx == len(_WORD_PRIMES):
+            return
+        yield _WORD_PRIMES[idx]
 
 
 @dataclass(frozen=True)

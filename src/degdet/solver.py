@@ -13,6 +13,12 @@ B_k(t^2), optionally times t^-1, with D* doubling.  With scaling
 N = ceil(log2 max c), so phase 0 starts on the constant pencil; the
 pseudo-polynomial mode is N = 0, one phase on the unscaled costs.
 
+No oracle call is made whose answer is known: an all-zero leading pencil is
+shifted by -max degree in one move, and phase theta's terminating certificate
+answers phase theta + 1's first call when its leading pencil (the old one less
+the terms made odd) has the same entries.  A skipped call counts 0 in
+`iterations` but keeps its random draw, so every other call keeps its seed.
+
 With scaling enabled every phase provably needs at most n^2 m + 1 oracle
 calls, and coefficients deeper than 2 n^2 m can never influence the output;
 both facts are enforced at runtime (a phase that reaches the first raises
@@ -63,7 +69,7 @@ class SolveOptions:
 class SolveReport:
     value: int | MinusInfinity
     dstar_trace: tuple[int, ...]
-    iterations: tuple[int, ...]
+    iterations: tuple[int, ...]  # oracle calls per phase; 0 when every call is skipped
     phases: int
     oracle_calls: int
     shift_applied: int
@@ -116,27 +122,41 @@ def _ceil_div(a: int, d: int) -> int:
     return -(-a // d)
 
 
-def _run_phase(pencil: LaurentPencil, dstar: int, rng: np.random.Generator,
-               lim: _Limits, first: Certificate | None = None
-               ) -> tuple[LaurentPencil, int, int]:
+def _run_phase(pencil: LaurentPencil, dstar: int, rng: np.random.Generator, lim: _Limits,
+               known: tuple[ConstPencil, Certificate] | None = None, counted: bool = False
+               ) -> tuple[LaurentPencil, int, int, tuple[ConstPencil, Certificate]]:
     """Descent until the leading pencil certifies optimum n.
 
-    Returns the pencil, D* and the oracle calls, the terminating one
-    included.  A phase whose `lim.bound`-th oracle call does not certify
-    optimum n raises IterationBoundExceededError.  `first`, when given, is a
-    certificate already found for the starting leading pencil and answers
-    the first oracle call.
+    Returns the pencil, D*, the oracle calls and the terminating (leading
+    pencil, certificate) pair.  A shift counts 0 calls, and so does `known`
+    answering the first call, unless `counted` says its call was made for
+    this phase (the singularity call answering phase 0).  A phase whose
+    `lim.bound`-th oracle call does not certify optimum n raises
+    IterationBoundExceededError; an empty pencil keeps calling until it does.
     """
-    n = pencil.n
-    calls = 0
+    n, calls = pencil.n, 0
     while True:
-        if first is not None:
-            cert, first = first, None
+        lead = leading(pencil)
+        if not lead.term.size and pencil.term.size:  # k calls would each answer (I, I, n, n)
+            k = -int(pencil.degree.max())
+            rng.integers(0, 2**63, size=k)
+            if lim.depth is not None:  # what the first of the k steps' truncations keeps
+                pencil = truncate(pencil, lim.depth + 1)
+            pencil = LaurentPencil._wrap(pencil.p, n, pencil.m, pencil.term, pencil.degree + k,
+                                         pencil.row, pencil.col, pencil.value)
+            dstar -= n * k
+            continue
+        if known is not None and all(np.array_equal(getattr(known[0], f), getattr(lead, f))
+                                     for f in ("term", "row", "col", "value")):
+            cert, calls = known[1], calls + counted
+            if not counted:
+                rng.integers(0, 2**63)
         else:
-            cert = solve_R(leading(pencil), int(rng.integers(0, 2**63)))
-        calls += 1
+            cert = solve_R(lead, int(rng.integers(0, 2**63)))
+            calls += 1
+        known = None
         if cert.value == n:
-            return pencil, dstar, calls
+            return pencil, dstar, calls, (lead, cert)
         if calls >= lim.bound:
             raise IterationBoundExceededError(
                 f"phase reached its bound of {lim.bound} oracle calls without terminating")
@@ -154,7 +174,7 @@ def run_phase(pencil: LaurentPencil, dstar: int, opts: SolveOptions | None = Non
     # the no-scaling cap of a solve whose cost-1 term sits at the lowest degree
     cmax = 1 - int(pencil.degree.min(initial=0))
     lim = _limits(opts, pencil.n, pencil.m, cmax)
-    return _run_phase(pencil, dstar, rng, lim)
+    return _run_phase(pencil, dstar, rng, lim)[:3]
 
 
 def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
@@ -174,10 +194,9 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
     The certificate of the constant pencil decides singularity; that pencil
     holds the nonzero entries of the instance's stack, found once, and every
     phase-0 entry array is one of its arrays.  With scaling phase 0 is that
-    pencil, so the certificate also answers its first oracle call; without
-    scaling it is an extra call, not counted in `oracle_calls`.  Every
-    oracle call, rank-gap pencils included, is answered by a verified
-    certificate or raises NcRankGapError out of the solve.
+    pencil, whose one oracle call the certificate answers; without scaling
+    it is an extra call, not counted in `oracle_calls`.  Every oracle call
+    is answered by a verified certificate or raises NcRankGapError.
     """
     opts = opts or SolveOptions()
     n = inst.n
@@ -203,21 +222,23 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
 
 
 def _descend(const: ConstPencil, shifted: tuple[int, ...], opts: SolveOptions,
-             rng: np.random.Generator, lim: _Limits, first: Certificate
+             rng: np.random.Generator, lim: _Limits, cert: Certificate
              ) -> tuple[LaurentPencil, list[tuple[int, int, float]]]:
     """Phases theta = 0..N on the costs scaled by 2^-N (see the module docstring).
 
     Returns the final pencil and (D*, oracle calls, seconds) per phase.
 
     Phase 0 is `const`'s entries at the scaled degrees; with scaling it is
-    `const`, whose certificate `first` answers the first oracle call.
+    `const`, whose certificate `cert` answers its one oracle call.  Each
+    phase hands its terminating (leading pencil, certificate) pair on.
     """
     n = const.n
     cmax = max(shifted)
     if opts.scaling_enabled:
         num_doublings = (cmax - 1).bit_length()  # ceil(log2 cmax) for cmax >= 1
+        known = const, cert
     else:
-        num_doublings, first = 0, None
+        num_doublings, known = 0, None
     scale = 1 << num_doublings
     top = _ceil_div(cmax, scale)
     degree = np.array([_ceil_div(c, scale) - top for c in shifted], dtype=np.int64)
@@ -235,7 +256,6 @@ def _descend(const: ConstPencil, shifted: tuple[int, ...], opts: SolveOptions,
                 pencil = truncate(pencil, lim.depth)
             dstar *= 2
         t0 = time.perf_counter()
-        pencil, dstar, calls = _run_phase(pencil, dstar, rng, lim, first)
+        pencil, dstar, calls, known = _run_phase(pencil, dstar, rng, lim, known, theta == 0)
         done.append((dstar, calls, time.perf_counter() - t0))
-        first = None
     return pencil, done

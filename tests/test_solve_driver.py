@@ -105,22 +105,22 @@ OPTIONS = {
 GOLDEN = {
     ("dense-3x3", "default"): (
         (2136, (3, 6, 9, 18, 36, 69, 135, 270, 540, 1080, 2157, 4311),
-         (1, 1, 2, 1, 1, 2, 2, 1, 1, 1, 2, 2), 12, 17, 725, False, None, 12),
+         (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 12, 2, 725, False, None, 12),
         ((), (0,), ())),
     ("dense-3x3", "noscale"): (
         (2136, (4311,), (1,), 1, 1, 725, False, None, 1), ((-1162,), (0,), (-1436,))),
     ("dense-3x3", "notrunc"): (
         (2136, (3, 6, 9, 18, 36, 69, 135, 270, 540, 1080, 2157, 4311),
-         (1, 1, 2, 1, 1, 2, 2, 1, 1, 1, 2, 2), 12, 17, 725, False, None, 12),
+         (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 12, 2, 725, False, None, 12),
         ((-1162,), (0,), (-1436,))),
     ("dense-2x4", "default"): (
-        (80, (2, 4, 6, 10, 20, 38, 76, 150), (1, 1, 2, 2, 1, 2, 1, 2), 8, 12, 35, False,
+        (80, (2, 4, 6, 10, 20, 38, 76, 150), (1, 1, 0, 0, 1, 0, 0, 0), 8, 3, 35, False,
          None, 8),
         ((), (0,), (), (-4,))),
     ("dense-2x4", "noscale"): (
         (80, (150,), (1,), 1, 1, 35, False, None, 1), ((-74,), (0,), (-59,), (-4,))),
     ("dense-2x4", "notrunc"): (
-        (80, (2, 4, 6, 10, 20, 38, 76, 150), (1, 1, 2, 2, 1, 2, 1, 2), 8, 12, 35, False,
+        (80, (2, 4, 6, 10, 20, 38, 76, 150), (1, 1, 0, 0, 1, 0, 0, 0), 8, 3, 35, False,
          None, 8),
         ((-74,), (0,), (-59,), (-4,))),
     ("bipartite-4", "default"): (
@@ -138,13 +138,13 @@ GOLDEN = {
         ((0,), (0,), (-51,), (-178,), (0,), (-32,), (-48,), (0,), (-184,), (-10,),
          (-52,), (-1,), (-431,), (0,))),
     ("bipartite-3", "default"): (
-        (57, (3, 6, 9, 15, 29, 56, 111), (1, 1, 2, 2, 2, 2, 2), 7, 12, 18, False, None, 7),
+        (57, (3, 6, 9, 15, 29, 56, 111), (1, 1, 0, 0, 2, 2, 2), 7, 8, 18, False, None, 7),
         ((-10,), (0,), (-4,), (-19,), (0,), (0,), (0,), (-35,), (-22,))),
     ("bipartite-3", "noscale"): (
         (57, (111,), (3,), 1, 3, 18, False, None, 1),
         ((-10,), (0,), (-4,), (-19,), (0,), (0,), (0,), (-35,), (-22,))),
     ("bipartite-3", "notrunc"): (
-        (57, (3, 6, 9, 15, 29, 56, 111), (1, 1, 2, 2, 2, 2, 2), 7, 12, 18, False, None, 7),
+        (57, (3, 6, 9, 15, 29, 56, 111), (1, 1, 0, 0, 2, 2, 2), 7, 8, 18, False, None, 7),
         ((-10,), (0,), (-4,), (-19,), (0,), (0,), (0,), (-35,), (-22,))),
     ("tiny-p5", "default"): (
         (1, (4, 4, 5, 10, 17), (1, 3, 3, 1, 2), 5, 10, 4, False, None, 5),
@@ -159,14 +159,14 @@ GOLDEN = {
     ("tiny-p7", "noscale"): (("-inf", (), (), 0, 0, 6, False, (4, 1), 0), None),
     ("tiny-p7", "notrunc"): (("-inf", (), (), 0, 0, 6, False, (4, 1), 0), None),
     ("rank1", "default"): (
-        (-15, (3, 4, 7, 13, 24, 46, 89, 177), (1, 2, 2, 2, 2, 2, 2, 2), 8, 15, 64, False,
+        (-15, (3, 4, 7, 13, 24, 46, 89, 177), (1, 2, 2, 2, 2, 2, 0, 2), 8, 13, 64, False,
          None, 8),
         ((-44, 0), (-53, -24), (-29, 0), (0,))),
     ("rank1", "noscale"): (
         (-15, (177,), (74,), 1, 74, 64, False, None, 1),
         ((-44, 0), (-97, -53, -24), (-73, -29, 0), (0,))),
     ("rank1", "notrunc"): (
-        (-15, (3, 4, 7, 13, 24, 46, 89, 177), (1, 2, 2, 2, 2, 2, 2, 2), 8, 15, 64, False,
+        (-15, (3, 4, 7, 13, 24, 46, 89, 177), (1, 2, 2, 2, 2, 2, 0, 2), 8, 13, 64, False,
          None, 8),
         ((-44, 0), (-97, -53, -24), (-73, -29, 0), (0,))),
     ("skew3", "default"): (

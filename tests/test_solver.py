@@ -3,8 +3,9 @@ import pytest
 
 from degdet import (DEFAULT_PRIME, Certificate, Instance,
                     LaurentMatrix, LaurentPencil, MINUS_INFINITY, SolveOptions,
-                    gen_bipartite, gen_dense, is_minus_infinity, leading, normalize_costs,
-                    run_phase, solve, solve_R, solve_with_final_pencil)
+                    gen_bipartite, gen_dense, gen_integer, is_minus_infinity, leading,
+                    normalize_costs, random_bipartite_weights, run_phase, solve, solve_R,
+                    solve_with_final_pencil)
 from degdet.errors import DimensionMismatchError, IterationBoundExceededError
 
 from conftest import brute_matching_weight, brute_symbolic_degdet
@@ -42,6 +43,69 @@ def test_run_phase_bipartite_two_steps():
     assert dstar == 1
     final = solve_R(leading(out), seed=1)
     assert final.value == 2
+
+
+def test_run_phase_shifts_an_all_zero_leading_pencil_in_one_move(monkeypatch):
+    # max degree -3: the phase makes the three (I, I, n, n) steps at once and
+    # only then calls the oracle, on the identity that ends the phase; the
+    # first step's truncation at depth 2 n^2 m = 16 drops the degree -17 entry
+    import degdet.solver as solver
+    from degdet.laurent import step_update, truncate
+
+    t1 = LaurentMatrix(P, 2, {-3: np.eye(2, dtype=int), -5: [[0, 4], [0, 0]]})
+    t2 = LaurentMatrix(P, 2, {-4: [[0, 0], [3, 0]], -17: [[0, 0], [0, 6]]})
+    pen = LaurentPencil.from_terms(P, 2, (t1, t2))
+    leads = []
+
+    def recorded(pencil, seed):
+        leads.append(pencil.term.size)
+        return solve_R(pencil, seed)
+
+    monkeypatch.setattr(solver, "solve_R", recorded)
+    out, dstar, iters = run_phase(pen, 10, SolveOptions(seed=0))
+    ident = np.eye(2, dtype=pen.value.dtype)
+    want = pen
+    for _ in range(3):
+        want = truncate(step_update(want, ident, ident, 2, 2), 16)
+    for field in ("term", "degree", "row", "col", "value"):
+        assert np.array_equal(getattr(out, field), getattr(want, field)), field
+    assert (dstar, iters, leads) == (10 - 3 * 2, 1, [2])
+
+
+def test_skipped_oracle_calls_keep_their_draws():
+    # the calls that remain get the seeds they had: at p = 3 this solve's
+    # oracle finds no certificate when the skipped calls stop drawing
+    grid = random_bipartite_weights(5, 49, (-5, 5), 0.6)
+    assert solve(gen_bipartite(grid, p=3), SolveOptions(seed=1)).value == 16
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_dense(3, 3, seed=11, cost_range=(-1000, 1000)),
+    lambda: gen_integer(5, 6, 7, 10, (-10**6, 10**6)).reduce_mod(2**31 - 1),
+], ids=["dense-3x3", "integer-n5"])
+def test_oracle_calls_count_every_solve_R_call(monkeypatch, make):
+    # with scaling the singularity call answers phase 0 and counts there;
+    # shifts and carried certificates call nothing and count nothing
+    import degdet.solver as solver
+
+    seeds = []
+
+    def counted(pencil, seed):
+        seeds.append(seed)
+        return solve_R(pencil, seed)
+
+    monkeypatch.setattr(solver, "solve_R", counted)
+    report = solve(make(), SolveOptions(seed=3))
+    assert len(seeds) == report.oracle_calls
+
+
+def test_integer_n5_solve_stays_under_5_oracle_calls():
+    # 21 phases; all but the first four start from the last one's certified
+    # leading pencil, less its odd terms (30 calls before shifts and carried
+    # certificates)
+    inst = gen_integer(5, 6, 7, 10, (-10**6, 10**6)).reduce_mod(2**31 - 1)
+    report = solve(inst, SolveOptions(seed=0))
+    assert report.phases == 21 and report.oracle_calls <= 4
 
 
 def make_instance(mats, costs, p=P):
