@@ -23,7 +23,7 @@ from .field_linalg import DEFAULT_PRIME, PrimeModulus, mod_nullspace, mod_rref
 from .infinity import is_minus_infinity
 from .instances import Instance, IntegerInstance, PartitionedInstance
 from .ncrank import ConstPencil, solve_R
-from .solver import SolveOptions, solve
+from .solver import SolveOptions, solve_with_final_pencil
 
 EXIT_OK = 0
 EXIT_SOLVER_ERROR = 1
@@ -139,7 +139,7 @@ def _reduce_to(inst, p: int):
 
 
 def _solve_any(inst, opts: SolveOptions) -> dict:
-    started = time.perf_counter()
+    started, timing = time.perf_counter(), {}
     if isinstance(inst, IntegerInstance):
         rep = rational.solve_rational_report(inst, opts)
         body = {
@@ -153,8 +153,7 @@ def _solve_any(inst, opts: SolveOptions) -> dict:
                 for o in rep.outcomes],
         }
     else:
-        target = partitioned.to_instance(inst) if isinstance(inst, PartitionedInstance) else inst
-        rep = solve(target, opts)
+        rep, pencil = solve_with_final_pencil(_as_field_instance(inst), opts)
         witness = rep.singular_certificate
         body = {
             "mode": "field",
@@ -168,11 +167,13 @@ def _solve_any(inst, opts: SolveOptions) -> dict:
             "singular_certificate": (None if witness is None else
                                      {"r": witness.r, "s": witness.s,
                                       "S": witness.S.tolist(), "T": witness.T.tolist()}),
-            "timing": {"total_s": time.perf_counter() - started,
-                       "phases_s": list(rep.phase_seconds)},
         }
-        return body
-    body["timing"] = {"total_s": time.perf_counter() - started}
+        if isinstance(inst, PartitionedInstance):  # solve_and_extract's witness, sorted
+            matching = partitioned.extract_witness(inst, rep.value, pencil, opts)
+            body["mode"], body["two_matching"] = "partitioned", matching and [
+                [[i, j], mult] for i, j, mult in matching.edges]
+        timing["phases_s"] = list(rep.phase_seconds)
+    body["timing"] = {"total_s": time.perf_counter() - started, **timing}
     return body
 
 

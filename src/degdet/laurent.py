@@ -97,12 +97,21 @@ class LaurentPencil:
     @classmethod
     def _wrap(cls, p: int, n: int, m: int, term: np.ndarray, degree: np.ndarray,
               row: np.ndarray, col: np.ndarray, value: np.ndarray) -> "LaurentPencil":
-        # internal fast path; degrees >= -2^61 keep t -> t^2 and t^-1 inside int64
-        if degree.size and degree.min() < -2**61:
-            raise SizeLimitError("pencil degree below -2^61: costs this large need truncation")
+        cls._check_floor(int(degree.min(initial=0)))  # internal fast path
         for arr in (term, degree, row, col, value):
             arr.flags.writeable = False
         return cls(p, n, m, term, degree, row, col, value)
+
+    @staticmethod
+    def _check_floor(low: int) -> None:
+        # degrees >= -2^61 keep t -> t^2 and t^-1 inside int64; `low` is the lowest
+        if low < -2**61:
+            raise SizeLimitError("pencil degree below -2^61: costs this large need truncation")
+
+    def _redegree(self, degree: np.ndarray) -> "LaurentPencil":
+        # the same entries at the degrees `degree` (internal fast path)
+        return self if degree is self.degree else LaurentPencil._wrap(
+            self.p, self.n, self.m, self.term, degree, self.row, self.col, self.value)
 
     @classmethod
     def from_constants(cls, p: int, mats: Sequence, degrees: Sequence[int] | None = None
@@ -226,8 +235,7 @@ def step_update(pencil: LaurentPencil, S: np.ndarray, T: np.ndarray,
 
 def square_substitute(pencil: LaurentPencil) -> LaurentPencil:
     """t -> t**2 on every term: every degree doubles."""
-    return LaurentPencil._wrap(pencil.p, pencil.n, pencil.m, pencil.term, 2 * pencil.degree,
-                               pencil.row, pencil.col, pencil.value)
+    return pencil._redegree(2 * pencil.degree)
 
 
 def scale_tinv(pencil: LaurentPencil, which: Sequence[int]) -> LaurentPencil:
@@ -235,9 +243,7 @@ def scale_tinv(pencil: LaurentPencil, which: Sequence[int]) -> LaurentPencil:
     bits = np.asarray(which)
     if bits.shape != (pencil.m,) or not ((bits == 0) | (bits == 1)).all():
         raise DimensionMismatchError("which must be a 0/1 vector with one entry per term")
-    return LaurentPencil._wrap(pencil.p, pencil.n, pencil.m, pencil.term,
-                               pencil.degree - (bits == 1)[pencil.term], pencil.row,
-                               pencil.col, pencil.value)
+    return pencil._redegree(pencil.degree - (bits == 1)[pencil.term])
 
 
 def truncate(pencil: LaurentPencil, depth: int) -> LaurentPencil:

@@ -26,7 +26,7 @@ from .errors import DimensionMismatchError, ExtractionFailedError, SizeLimitErro
 from .field_linalg import mod_rank
 from .infinity import MINUS_INFINITY, MinusInfinity, is_minus_infinity
 from .instances import Instance, PartitionedInstance
-from .laurent import leading
+from .laurent import LaurentPencil, leading
 from .solver import SolveOptions, solve_with_final_pencil
 
 #: largest n that :func:`enumerate_perfect` enumerates
@@ -153,16 +153,22 @@ def solve_and_extract(part: PartitionedInstance, opts: SolveOptions | None = Non
     ExtractionFailedError.  An nc-singular instance returns (-inf, None).
     """
     opts = opts or SolveOptions()
-    edges, p = part.edges(), part.p
-    if not edges:
+    if not part.edges():
         return MINUS_INFINITY, None
     report, pencil = solve_with_final_pencil(to_instance(part), opts)
-    if is_minus_infinity(value := report.value):
-        return MINUS_INFINITY, None
+    return report.value, extract_witness(part, report.value, pencil, opts)
+
+
+def extract_witness(part: PartitionedInstance, value: int | MinusInfinity,
+                    pencil: LaurentPencil | None, opts: SolveOptions) -> TwoMatching | None:
+    """The witness of :func:`solve_and_extract`, from its solve's value and final pencil."""
+    if is_minus_infinity(value):
+        return None
+    edges, p = part.edges(), part.p
     # the tight blocks (a degree-0 entry), in term order, less each one whose
     # removal keeps a random substitution of the remaining ones full rank
     top = leading(pencil)
-    tight = np.unique(top.term)
+    tight = np.flatnonzero(np.bincount(top.term, minlength=pencil.m))
     cells = [edges[k] for k in tight]
     lam = np.random.default_rng(np.random.SeedSequence((opts.seed, 0x2B))).integers(1, p, len(cells))
     terms = [top.substitute(c * (np.arange(pencil.m) == k)) for c, k in zip(lam, tight)]
@@ -176,5 +182,5 @@ def solve_and_extract(part: PartitionedInstance, opts: SolveOptions | None = Non
     for allowed in (set(kept), set(cells)):
         for weight, matching in _perfect_two_matchings(part, allowed):
             if weight == value and is_consistent(matching, part, seed=int(rng.integers(0, 2**63))):
-                return value, matching
+                return matching
     raise ExtractionFailedError(f"no consistent 2-matching of weight {value} was found")

@@ -13,10 +13,13 @@ B_k(t^2), optionally times t^-1, with D* doubling.  With scaling
 N = ceil(log2 max c), so phase 0 starts on the constant pencil; the
 pseudo-polynomial mode is N = 0, one phase on the unscaled costs.
 
-No oracle call is made whose answer is known: an all-zero leading pencil is
-shifted by -max degree in one move, and phase theta's terminating certificate
-answers phase theta + 1's first call when its leading pencil (the old one less
-the terms made odd) has the same entries.  A skipped call counts 0 in
+No oracle call is made whose answer is known.  An all-zero leading pencil is
+shifted by -max degree in one move.  Between phases the entries at degree 0
+of term k go to -b_k, b_k in {0, 1}, while entries at degree <= -1 stay
+there, and truncation drops them in the same order; so where b_k is one value
+b on the terms of the last certified leading pencil, the phase is quiet: after
+a shift by b that pencil leads again, its certificate ends the phase with 0
+calls, and only the degree array moves.  A skipped call counts 0 in
 `iterations` but keeps its random draw, so every other call keeps its seed.
 
 With scaling enabled every phase provably needs at most n^2 m + 1 oracle
@@ -74,7 +77,7 @@ class SolveReport:
     oracle_calls: int
     shift_applied: int
     used_blowup_fallback: bool = False  # always False: gaps are certified, not deferred
-    phase_seconds: tuple[float, ...] = ()  # timing only; excluded from determinism
+    phase_seconds: tuple[float, ...] = ()  # timing only, phase 0 with the singularity call
     # the constant pencil's certificate (r + s > n) when value is -inf, else None
     singular_certificate: Certificate | None = None
 
@@ -123,40 +126,40 @@ def _ceil_div(a: int, d: int) -> int:
 
 
 def _run_phase(pencil: LaurentPencil, dstar: int, rng: np.random.Generator, lim: _Limits,
-               known: tuple[ConstPencil, Certificate] | None = None, counted: bool = False
-               ) -> tuple[LaurentPencil, int, int, tuple[ConstPencil, Certificate]]:
+               first: Certificate | None = None) -> tuple[LaurentPencil, int, int, np.ndarray]:
     """Descent until the leading pencil certifies optimum n.
 
-    Returns the pencil, D*, the oracle calls and the terminating (leading
-    pencil, certificate) pair.  A shift counts 0 calls, and so does `known`
-    answering the first call, unless `counted` says its call was made for
-    this phase (the singularity call answering phase 0).  A phase whose
-    `lim.bound`-th oracle call does not certify optimum n raises
-    IterationBoundExceededError; an empty pencil keeps calling until it does.
+    Returns the pencil, D*, the oracle calls and the terms, sorted, with an
+    entry in the terminating leading pencil.  `first` is the certificate of a
+    pencil all at degree 0 (phase 0 with scaling: the singularity call) and
+    answers the first call, which counts but draws no seed.  Later phases get
+    no certificate: quiet ones never run here (see _descend), and any other
+    starts on a strict subset of the last certified leading pencil.  A
+    leading pencil with no entries is shifted by k = -max degree in one move:
+    k calls could only answer (I, I, n, n), so the shift counts none and
+    draws their k seeds.  A phase whose `lim.bound`-th oracle call does not
+    certify optimum n raises IterationBoundExceededError; an empty pencil
+    keeps calling until it does.
     """
     n, calls = pencil.n, 0
     while True:
-        lead = leading(pencil)
-        if not lead.term.size and pencil.term.size:  # k calls would each answer (I, I, n, n)
-            k = -int(pencil.degree.max())
-            rng.integers(0, 2**63, size=k)
-            if lim.depth is not None:  # what the first of the k steps' truncations keeps
-                pencil = truncate(pencil, lim.depth + 1)
-            pencil = LaurentPencil._wrap(pencil.p, n, pencil.m, pencil.term, pencil.degree + k,
-                                         pencil.row, pencil.col, pencil.value)
-            dstar -= n * k
-            continue
-        if known is not None and all(np.array_equal(getattr(known[0], f), getattr(lead, f))
-                                     for f in ("term", "row", "col", "value")):
-            cert, calls = known[1], calls + counted
-            if not counted:
-                rng.integers(0, 2**63)
+        if first is not None:
+            lead, cert, first = pencil, first, None
         else:
+            lead = leading(pencil)
+            if not lead.term.size and pencil.term.size:
+                k = -int(pencil.degree.max())
+                rng.integers(0, 2**63, size=k)
+                if lim.depth is not None:  # what the first of the k steps' truncations keeps
+                    pencil = truncate(pencil, lim.depth + 1)
+                pencil = pencil._redegree(pencil.degree + k)
+                dstar -= n * k
+                continue
             cert = solve_R(lead, int(rng.integers(0, 2**63)))
-            calls += 1
-        known = None
+        calls += 1
         if cert.value == n:
-            return pencil, dstar, calls, (lead, cert)
+            terms = np.flatnonzero(np.bincount(lead.term, minlength=pencil.m))
+            return pencil, dstar, calls, terms
         if calls >= lim.bound:
             raise IterationBoundExceededError(
                 f"phase reached its bound of {lim.bound} oracle calls without terminating")
@@ -207,13 +210,14 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
 
     pencil = witness = None
     done: list[tuple[int, int, float]] = []  # (D*, oracle calls, seconds) per phase
+    t0 = time.perf_counter()
     term, row, col = np.nonzero(inst.stack)
     const = ConstPencil._wrap(inst.p, n, inst.m, term, row, col, inst.stack[term, row, col])
     cert = solve_R(const, int(rng.integers(0, 2**63)))
     if cert.value < n:
         value, witness = MINUS_INFINITY, cert
     else:
-        pencil, done = _descend(const, shifted, opts, rng, lim, cert)
+        pencil, done = _descend(const, shifted, opts, rng, lim, cert, t0)
         value = done[-1][0] - n * b
     dstars, calls, seconds = zip(*done) if done else ((), (), ())
     report = SolveReport(value, dstars, calls, len(done), sum(calls), b,
@@ -222,40 +226,53 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
 
 
 def _descend(const: ConstPencil, shifted: tuple[int, ...], opts: SolveOptions,
-             rng: np.random.Generator, lim: _Limits, cert: Certificate
+             rng: np.random.Generator, lim: _Limits, cert: Certificate, t0: float
              ) -> tuple[LaurentPencil, list[tuple[int, int, float]]]:
     """Phases theta = 0..N on the costs scaled by 2^-N (see the module docstring).
 
-    Returns the final pencil and (D*, oracle calls, seconds) per phase.
-
-    Phase 0 is `const`'s entries at the scaled degrees; with scaling it is
-    `const`, whose certificate `cert` answers its one oracle call.  Each
-    phase hands its terminating (leading pencil, certificate) pair on.
+    Returns the final pencil and (D*, oracle calls, seconds) per phase, phase
+    0's counted from t0, before the singularity call; with scaling that call
+    answers phase 0, `const` at degree 0.  Phase theta >= 1 maps B_k(t) to
+    B_k(t^2) t^-odd[theta, k].  A quiet phase maps only the degree array:
+    degree <- 2 degree - odd + b, after the -2^61 check and the truncation on
+    2 degree - odd, as the rescale makes them (the shift's truncation at
+    depth + 1 drops nothing, as entries at degree <= -1 stay there).
     """
-    n = const.n
+    n, m = const.n, const.m
     cmax = max(shifted)
-    if opts.scaling_enabled:
-        num_doublings = (cmax - 1).bit_length()  # ceil(log2 cmax) for cmax >= 1
-        known = const, cert
-    else:
-        num_doublings, known = 0, None
-    scale = 1 << num_doublings
+    N = (cmax - 1).bit_length() if opts.scaling_enabled else 0  # ceil(log2 cmax) for cmax >= 1
+    scale = 1 << N
     top = _ceil_div(cmax, scale)
     degree = np.array([_ceil_div(c, scale) - top for c in shifted], dtype=np.int64)
-    pencil = LaurentPencil._wrap(const.p, n, const.m, const.term, degree[const.term],
+    pencil = LaurentPencil._wrap(const.p, n, m, const.term, degree[const.term],
                                  const.row, const.col, const.value)
-    dstar = n * top
-    done = []
-    for theta in range(num_doublings + 1):
-        if theta:
-            # B_k(t^2), times t^-1 where the doubled scaled cost 2 ceil(c/2den)
-            # exceeds ceil(c/den), i.e. where ceil(c/den) is odd
-            den = 1 << (num_doublings - theta)
-            pencil = scale_tinv(square_substitute(pencil), _ceil_div(np.array(shifted), den) % 2)
+    pencil, dstar, calls, K = _run_phase(pencil, n * top, rng, lim,
+                                         cert if opts.scaling_enabled else None)
+    done = [(dstar, calls, time.perf_counter() - t0)]
+    # odd[theta, k] = ceil(c_k / 2^(N - theta)) mod 2 = 1 - bit N - theta of c_k - 1, read
+    # exactly off its bytes (with scaling c_k - 1 < scale; without, only row 0, unused, exists)
+    raw = b"".join(((c - 1) % scale).to_bytes(N // 8 + 1, "little") for c in shifted)
+    odd = 1 - np.unpackbits(np.frombuffer(raw, np.uint8).reshape(m, -1), axis=1,
+                            bitorder="little")[:, N::-1].T
+    degree = pencil.degree
+    for theta in range(1, N + 1):
+        t0 = time.perf_counter()
+        on = odd[theta, K]
+        b = int(on.max(initial=0))
+        if (on == b).all():  # quiet: b on every term of the last certified leading pencil
+            rng.integers(0, 2**63, size=1 + b)
+            degree = 2 * degree - odd[theta, pencil.term]
+            LaurentPencil._check_floor(low := int(degree.min(initial=0)))
+            if lim.depth is not None and low <= -lim.depth:
+                pencil = truncate(pencil._redegree(degree), lim.depth)
+                degree = pencil.degree
+            degree = degree + b if b else degree
+            dstar, calls = 2 * dstar - n * b, 0
+        else:
+            pencil = scale_tinv(square_substitute(pencil._redegree(degree)), odd[theta])
             if lim.depth is not None:
                 pencil = truncate(pencil, lim.depth)
-            dstar *= 2
-        t0 = time.perf_counter()
-        pencil, dstar, calls, known = _run_phase(pencil, dstar, rng, lim, known, theta == 0)
+            pencil, dstar, calls, K = _run_phase(pencil, 2 * dstar, rng, lim)
+            degree = pencil.degree
         done.append((dstar, calls, time.perf_counter() - t0))
-    return pencil, done
+    return pencil._redegree(degree), done

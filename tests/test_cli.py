@@ -182,6 +182,21 @@ def test_solve_prime_applies_to_partitioned_files(capsys, tmp_path):
     assert run_cli(capsys, "solve", str(path), "--prime", "8")[0] == 1
 
 
+def test_solve_prints_the_two_matching_of_a_partitioned_file(capsys, tmp_path):
+    path, _ = gen_file(capsys, tmp_path, "partitioned2x2", "--n", "4", "--seed", "1")
+    code, out = run_cli(capsys, "solve", str(path))
+    report = json.loads(out)
+    assert code == 0 and report["mode"] == "partitioned"
+    part = instances.load(path.read_bytes())
+    value, matching = partitioned.solve_and_extract(part)
+    edges = report["two_matching"]
+    assert report["value"] == value == 6 and edges == sorted(edges)
+    assert edges == [[[i, j], mult] for i, j, mult in matching.edges]
+    witness = partitioned.TwoMatching(tuple((i, j, mult) for (i, j), mult in edges))
+    assert witness.is_perfect(4) and witness.weight(part.costs) == value
+    assert partitioned.is_consistent(witness, part)
+
+
 def test_solve_prime_refused_on_integer_files(capsys, tmp_path):
     path, _ = gen_file(capsys, tmp_path, "dense", "--n", "2", "--m", "3",
                        "--seed", "5", "--integer")

@@ -1,0 +1,67 @@
+"""Pinned solve records: a digest of every record a fixed corpus of solves gives.
+
+A record is each solve's value, D* trace, oracle calls per phase and in
+total, and its final pencil's entries, or the type of the error it raises.
+The digest was taken before phases whose leading pencil cannot change stopped
+building pencils, so a faster solver must give the very same records.
+"""
+
+import hashlib
+import json
+from collections import Counter
+
+from degdet import (SolveOptions, gen_bipartite, gen_dense, gen_integer, gen_rank1,
+                    prime_budget, random_bipartite_weights, solve_with_final_pencil)
+from degdet.errors import DegDetError
+
+OPTIONS = {"default": {}, "notrunc": {"truncation_enabled": False},
+           "depth2^61": {"truncation_depth": 2**61}}
+
+
+def corpus():
+    """(label, instance, solve seed) of every solve the digest covers."""
+    for s in (7, 1, 2, 3):  # the rational-1e6 instances at workload seed 0
+        inst = gen_integer(5, 6, s, 10, (-10**6, 10**6))
+        for p in prime_budget(inst.n, inst.entry_bound).primes:
+            yield f"integer-{s}-p{p}", inst.reduce_mod(p), 0
+    for bits in (40, 62):
+        yield f"dense-3x4-2^{bits}", gen_dense(3, 4, seed=0, cost_range=(-2**bits, 2**bits)), 0
+    yield "rank1-4x8", gen_rank1(4, 8, seed=0, cost_range=(-10**6, 10**6)), 0
+    yield "bipartite-6", gen_bipartite(random_bipartite_weights(6, 0, (-10**6, 10**6))), 0
+    for p in (3, 5):  # the tiny-field corpus, NcRankGapErrors included
+        for s in range(60):
+            yield f"tiny-p{p}-s{s}", gen_bipartite(random_bipartite_weights(5, s, (-5, 5), 0.6),
+                                                   p=p), s
+
+
+def record(inst, opts: SolveOptions):
+    try:
+        report, pencil = solve_with_final_pencil(inst, opts)
+    except DegDetError as exc:
+        return type(exc).__name__
+    entries = None if pencil is None else [
+        getattr(pencil, f).tolist() for f in ("term", "degree", "row", "col", "value")]
+    return [str(report.value), report.dstar_trace, report.iterations, report.oracle_calls,
+            entries]
+
+
+def records() -> dict:
+    return {f"{label}/{name}": record(inst, SolveOptions(seed=seed, **kw))
+            for label, inst, seed in corpus() for name, kw in OPTIONS.items()}
+
+
+def digest(recs: dict) -> str:
+    return hashlib.sha256(json.dumps(recs, sort_keys=True).encode()).hexdigest()
+
+
+PINNED = "8ae591e8de4820846deedc93e2d8a85baa2f5d768fd2f611843e370cd5d2de0b"
+
+
+def test_records_match_the_pinned_digest():
+    recs = records()
+    assert len(recs) == 3 * (4 * 8 + 4 + 2 * 60)
+    # ten tiny-field grids at p = 3 find no certificate, and costs of 2^62
+    # leave int64 unless truncated at the default depth
+    errors = Counter(rec for rec in recs.values() if isinstance(rec, str))
+    assert errors == {"NcRankGapError": 30, "SizeLimitError": 2}
+    assert digest(recs) == PINNED

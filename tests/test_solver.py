@@ -108,6 +108,39 @@ def test_integer_n5_solve_stays_under_5_oracle_calls():
     assert report.phases == 21 and report.oracle_calls <= 4
 
 
+def test_quiet_phases_build_no_pencil(monkeypatch):
+    # 17 of the integer n = 5 solve's 21 phases leave its certified leading
+    # pencil as it is: they map the degree array alone, and phase 0 takes the
+    # singularity certificate without building its leading pencil (30 leading
+    # pencils and 20 rescales before)
+    import degdet.solver as solver
+
+    calls = {"leading": 0, "scale_tinv": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(solver, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(solver, name, counted)
+    inst = gen_integer(5, 6, 7, 10, (-10**6, 10**6)).reduce_mod(2**31 - 1)
+    report = solve(inst, SolveOptions(seed=0))
+    assert (report.phases, report.oracle_calls) == (21, 4)
+    assert calls["leading"] <= 4 and calls["scale_tinv"] <= 3
+
+
+def test_phase_zero_seconds_hold_the_singularity_call(monkeypatch):
+    import time
+
+    import degdet.solver as solver
+
+    def slow(pencil, seed):
+        time.sleep(0.05)
+        return solve_R(pencil, seed)
+
+    monkeypatch.setattr(solver, "solve_R", slow)
+    report = solve(gen_dense(3, 3, seed=11, cost_range=(-1000, 1000)), SolveOptions(seed=3))
+    assert report.iterations[0] == 1 and report.phase_seconds[0] >= 0.05
+
+
 def make_instance(mats, costs, p=P):
     return Instance.from_arrays(p, mats, costs)
 
