@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import instances, nconvex, oracles, partitioned, rational
-from .errors import DegDetError
+from .errors import DegDetError, ExtractionFailedError
 from .field_linalg import DEFAULT_PRIME, PrimeModulus, mod_nullspace, mod_rref
 from .infinity import is_minus_infinity
 from .instances import Instance, IntegerInstance, PartitionedInstance
@@ -169,9 +169,12 @@ def _solve_any(inst, opts: SolveOptions) -> dict:
                                       "S": witness.S.tolist(), "T": witness.T.tolist()}),
         }
         if isinstance(inst, PartitionedInstance):  # solve_and_extract's witness, sorted
-            matching = partitioned.extract_witness(inst, rep.value, pencil, opts)
-            body["mode"], body["two_matching"] = "partitioned", matching and [
-                [[i, j], mult] for i, j, mult in matching.edges]
+            body["mode"], body["two_matching"] = "partitioned", None
+            try:
+                matching = partitioned.extract_witness(inst, rep.value, pencil, opts)
+                body["two_matching"] = matching and [[[i, j], k] for i, j, k in matching.edges]
+            except ExtractionFailedError as exc:  # the value stands without a witness
+                body["witness_error"] = str(exc)
         timing["phases_s"] = list(rep.phase_seconds)
     body["timing"] = {"total_s": time.perf_counter() - started, **timing}
     return body

@@ -52,7 +52,7 @@ import numpy as np
 from .errors import DimensionMismatchError, IterationBoundExceededError, SizeLimitError
 from .infinity import MINUS_INFINITY, MinusInfinity
 from .instances import Instance
-from .laurent import LaurentPencil, leading, scale_tinv, square_substitute, step_update, truncate
+from .laurent import LaurentPencil, leading, step_update, truncate
 from .ncrank import Certificate, ConstPencil, solve_R
 
 
@@ -77,7 +77,7 @@ class SolveReport:
     oracle_calls: int
     shift_applied: int
     used_blowup_fallback: bool = False  # always False: gaps are certified, not deferred
-    phase_seconds: tuple[float, ...] = ()  # timing only, phase 0 with the singularity call
+    phase_seconds: tuple[float, ...] = ()  # timing only; see solve_with_final_pencil
     # the constant pencil's certificate (r + s > n) when value is -inf, else None
     singular_certificate: Certificate | None = None
 
@@ -129,17 +129,15 @@ def _run_phase(pencil: LaurentPencil, dstar: int, rng: np.random.Generator, lim:
                first: Certificate | None = None) -> tuple[LaurentPencil, int, int, np.ndarray]:
     """Descent until the leading pencil certifies optimum n.
 
-    Returns the pencil, D*, the oracle calls and the terms, sorted, with an
-    entry in the terminating leading pencil.  `first` is the certificate of a
-    pencil all at degree 0 (phase 0 with scaling: the singularity call) and
-    answers the first call, which counts but draws no seed.  Later phases get
-    no certificate: quiet ones never run here (see _descend), and any other
-    starts on a strict subset of the last certified leading pencil.  A
-    leading pencil with no entries is shifted by k = -max degree in one move:
-    k calls could only answer (I, I, n, n), so the shift counts none and
-    draws their k seeds.  A phase whose `lim.bound`-th oracle call does not
-    certify optimum n raises IterationBoundExceededError; an empty pencil
-    keeps calling until it does.
+    Returns the pencil, D*, the oracle calls and the sorted terms of the
+    terminating leading pencil.  `first`, the certificate of a pencil all at
+    degree 0 (phase 0 with scaling), answers the first call, which counts but
+    draws no seed; a later phase starts on a strict subset of the last
+    certified leading pencil (quiet ones never run here, see _descend).  A
+    leading pencil with no entries is shifted by k = -max degree in one move,
+    counting none of the k calls, which could only answer (I, I, n, n), but
+    drawing their seeds.  A phase whose `lim.bound`-th oracle call does not
+    certify optimum n raises IterationBoundExceededError.
     """
     n, calls = pencil.n, 0
     while True:
@@ -198,7 +196,8 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
     holds the nonzero entries of the instance's stack, found once, and every
     phase-0 entry array is one of its arrays.  With scaling phase 0 is that
     pencil, whose one oracle call the certificate answers; without scaling
-    it is an extra call, not counted in `oracle_calls`.  Every oracle call
+    it is an extra call, not counted in `oracle_calls` nor in
+    `phase_seconds[0]`, which with scaling includes it.  Every oracle call
     is answered by a verified certificate or raises NcRankGapError.
     """
     opts = opts or SolveOptions()
@@ -217,6 +216,7 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
     if cert.value < n:
         value, witness = MINUS_INFINITY, cert
     else:
+        t0 = t0 if opts.scaling_enabled else time.perf_counter()  # only then is it phase 0
         pencil, done = _descend(const, shifted, opts, rng, lim, cert, t0)
         value = done[-1][0] - n * b
     dstars, calls, seconds = zip(*done) if done else ((), (), ())
@@ -231,12 +231,11 @@ def _descend(const: ConstPencil, shifted: tuple[int, ...], opts: SolveOptions,
     """Phases theta = 0..N on the costs scaled by 2^-N (see the module docstring).
 
     Returns the final pencil and (D*, oracle calls, seconds) per phase, phase
-    0's counted from t0, before the singularity call; with scaling that call
-    answers phase 0, `const` at degree 0.  Phase theta >= 1 maps B_k(t) to
-    B_k(t^2) t^-odd[theta, k].  A quiet phase maps only the degree array:
-    degree <- 2 degree - odd + b, after the -2^61 check and the truncation on
-    2 degree - odd, as the rescale makes them (the shift's truncation at
-    depth + 1 drops nothing, as entries at degree <= -1 stay there).
+    0's counted from t0; with scaling `cert` answers phase 0, `const` at
+    degree 0.  Phase theta >= 1 maps B_k(t) to B_k(t^2) t^-odd[theta, k] on
+    the degree array alone, with a pencil's -2^61 check and truncation; a
+    quiet phase adds b and runs no descent (the shift's truncation at depth
+    + 1 drops nothing, as entries at degree <= -1 stay there).
     """
     n, m = const.n, const.m
     cmax = max(shifted)
@@ -257,22 +256,19 @@ def _descend(const: ConstPencil, shifted: tuple[int, ...], opts: SolveOptions,
     degree = pencil.degree
     for theta in range(1, N + 1):
         t0 = time.perf_counter()
+        degree = 2 * degree - odd[theta, pencil.term]
+        LaurentPencil._check_floor(low := int(degree.min(initial=0)))
+        if lim.depth is not None and low <= -lim.depth:
+            pencil = truncate(pencil._redegree(degree), lim.depth)
+            degree = pencil.degree
         on = odd[theta, K]
         b = int(on.max(initial=0))
         if (on == b).all():  # quiet: b on every term of the last certified leading pencil
             rng.integers(0, 2**63, size=1 + b)
-            degree = 2 * degree - odd[theta, pencil.term]
-            LaurentPencil._check_floor(low := int(degree.min(initial=0)))
-            if lim.depth is not None and low <= -lim.depth:
-                pencil = truncate(pencil._redegree(degree), lim.depth)
-                degree = pencil.degree
             degree = degree + b if b else degree
             dstar, calls = 2 * dstar - n * b, 0
         else:
-            pencil = scale_tinv(square_substitute(pencil._redegree(degree)), odd[theta])
-            if lim.depth is not None:
-                pencil = truncate(pencil, lim.depth)
-            pencil, dstar, calls, K = _run_phase(pencil, 2 * dstar, rng, lim)
+            pencil, dstar, calls, K = _run_phase(pencil._redegree(degree), 2 * dstar, rng, lim)
             degree = pencil.degree
         done.append((dstar, calls, time.perf_counter() - t0))
     return pencil._redegree(degree), done

@@ -5,6 +5,7 @@ import pytest
 
 from degdet import cli, instances, partitioned, solve
 from degdet.cli import main
+from degdet.errors import ExtractionFailedError
 
 
 def run_cli(capsys, *argv):
@@ -195,6 +196,21 @@ def test_solve_prints_the_two_matching_of_a_partitioned_file(capsys, tmp_path):
     witness = partitioned.TwoMatching(tuple((i, j, mult) for (i, j), mult in edges))
     assert witness.is_perfect(4) and witness.weight(part.costs) == value
     assert partitioned.is_consistent(witness, part)
+
+
+def test_a_failed_witness_keeps_the_solved_value(capsys, tmp_path, monkeypatch):
+    path, _ = gen_file(capsys, tmp_path, "partitioned2x2", "--n", "4", "--seed", "1")
+
+    def unlucky(*args):
+        raise ExtractionFailedError("no consistent 2-matching of weight 6 was found")
+
+    monkeypatch.setattr(partitioned, "extract_witness", unlucky)
+    for command in ("solve", "verify"):
+        code, out = run_cli(capsys, command, str(path))
+        report = json.loads(out)
+        assert code == 0 and report["value"] == 6 and report["dstar_trace"]
+        assert report["two_matching"] is None and "weight 6" in report["witness_error"]
+    assert report["oracles"]
 
 
 def test_solve_prime_refused_on_integer_files(capsys, tmp_path):
