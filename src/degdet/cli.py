@@ -220,14 +220,14 @@ def _as_field_instance(inst) -> Instance:
 
 def _bipartite_weights_of(inst: Instance) -> list:
     """Recover the weight grid of a bipartite-shaped instance from its terms."""
-    term, rows, cols = np.nonzero(inst.stack)
-    if not np.array_equal(term, np.arange(inst.m)) or np.any(inst.stack[term, rows, cols] != 1):
+    pen = inst.pencil
+    if np.any(np.bincount(pen.term, minlength=inst.m) != 1) or np.any(pen.value != 1):
         raise DegDetError("instance is not bipartite-shaped (one unit entry per term)")
     grid: list[list[int | None]] = [[None] * inst.n for _ in range(inst.n)]
-    for i, j, cost in zip(rows.tolist(), cols.tolist(), inst.costs):
+    for k, i, j in zip(pen.term.tolist(), pen.row.tolist(), pen.col.tolist()):
         if grid[i][j] is not None:
             raise DegDetError("instance is not bipartite-shaped (duplicate cell)")
-        grid[i][j] = cost
+        grid[i][j] = inst.costs[k]
     return grid
 
 
@@ -283,9 +283,8 @@ def cmd_selftest(args) -> int:
         ok_rank &= mod_rref(mat, p)[2] + mod_nullspace(mat, p).shape[1] == 7
     checks.append(("rank_nullity", ok_rank))
 
-    stack = rng.integers(0, p, size=(3, 4, 4))
-    cert = solve_R(ConstPencil(p, stack), seed=args.seed)
-    checks.append(("certificate_valid", cert.check(ConstPencil(p, stack))))
+    pencil = ConstPencil(p, rng.integers(0, p, size=(3, 4, 4)))
+    checks.append(("certificate_valid", solve_R(pencil, seed=args.seed).check(pencil)))
 
     ok = all(flag for _, flag in checks)
     _emit({"command": "selftest", "ok": ok,

@@ -1,10 +1,10 @@
 """Problem instances, generators for the supported problem classes, and
 bit-exact JSON serialization.
 
-Each instance holds its coefficients as one read-only array: `Instance.stack`
-(m x n x n residues), `IntegerInstance.mats` (m x n x n Python ints) and
-`PartitionedInstance.blocks` (n x n x 2 x 2 residues, `blocks[i, j]` = A_ij).
-Equality compares them by value.
+Each instance holds its coefficients read-only: `Instance.pencil` (a ConstPencil
+of the nonzero residues; `stack` and `mats` are built from it on each read),
+`IntegerInstance.mats` (m x n x n Python ints) and `PartitionedInstance.blocks`
+(n x n x 2 x 2 residues, `blocks[i, j]` = A_ij).  Equality compares by value.
 
 The file format is JSON with explicit integer arrays: `version`, `n`, `m`,
 `mats` (m x n x n), `costs`, optional `prime`, and a free-form `meta` object.
@@ -24,43 +24,52 @@ import numpy as np
 
 from .errors import DimensionMismatchError, FormatError, NonPrimeError
 from .field_linalg import DEFAULT_PRIME, FieldMatrix, PrimeModulus, as_residues, mod_matmul
+from .ncrank import ConstPencil
 
 SCHEMA_VERSION = 1
 
 
 class _ArrayFields:
-    """Base of the instance dataclasses: one read-only array, compared by value."""
+    """Base of the instance dataclasses: read-only arrays, compared by value."""
 
-    def _store(self, name: str, arr: np.ndarray, costs: tuple) -> None:
-        arr.flags.writeable = False
-        object.__setattr__(self, name, arr)
+    def _store(self, costs: tuple, **arrays: np.ndarray) -> None:
+        for name, arr in arrays.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "meta", dict(self.meta))
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-                   for a, b in pairs)
+        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, ConstPencil):  # the same sizes and entries, in any order
+        return (a.n, a.m) == (b.n, b.m) and all(map(np.array_equal, _sorted(a), _sorted(b)))
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+def _sorted(pencil: ConstPencil) -> list[np.ndarray]:
+    order = np.lexsort((pencil.col, pencil.row, pencil.term))
+    return [arr[order] for arr in (pencil.term, pencil.row, pencil.col, pencil.value)]
 
 
 @dataclass(frozen=True, eq=False)
 class Instance(_ArrayFields):
-    """A costed symbolic matrix sum_k A_k x_k t^{c_k} over GF(p); `stack`
-    holds A_1..A_m reduced once, and n and m are read off its shape."""
+    """A costed symbolic matrix sum_k A_k x_k t^{c_k} over GF(p); `pencil`
+    holds A_1..A_m as the nonzero entries of a ConstPencil over the same p."""
 
     modulus: PrimeModulus
-    stack: np.ndarray
+    pencil: ConstPencil
     costs: tuple[int, ...]
     meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        arr = as_residues(self.stack, self.p)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or 0 in arr.shape \
-                or len(self.costs) != arr.shape[0]:
-            raise DimensionMismatchError(f"need m >= 1 n x n matrices and m costs, got {arr.shape}")
-        self._store("stack", arr, tuple(int(c) for c in self.costs))
+        if self.pencil.p != self.p or len(self.costs) != self.pencil.m:
+            raise DimensionMismatchError(f"need a pencil over GF({self.p}) and one cost per term")
+        self._store(tuple(int(c) for c in self.costs))
 
     @property
     def p(self) -> int:
@@ -68,11 +77,16 @@ class Instance(_ArrayFields):
 
     @property
     def m(self) -> int:
-        return self.stack.shape[0]
+        return self.pencil.m
 
     @property
     def n(self) -> int:
-        return self.stack.shape[1]
+        return self.pencil.n
+
+    @property
+    def stack(self) -> np.ndarray:
+        """A_1..A_m as one read-only (m, n, n) array, built on each read."""
+        return self.pencil.stack
 
     @property
     def mats(self) -> tuple[FieldMatrix, ...]:
@@ -82,7 +96,7 @@ class Instance(_ArrayFields):
     @classmethod
     def from_arrays(cls, p: int, mats: Sequence, costs: Sequence[int],
                     meta: Mapping | None = None) -> "Instance":
-        return cls(PrimeModulus(p), mats, costs, meta or {})
+        return cls(PrimeModulus(p), ConstPencil(p, mats), costs, meta or {})  # p checked first
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +118,8 @@ class IntegerInstance(_ArrayFields):
         if min(self.n, self.m) < 1 or arr.shape != (self.m, self.n, self.n) \
                 or len(self.costs) != self.m:
             raise DimensionMismatchError("need m >= 1 integer n x n matrices, n >= 1, and m costs")
-        self._store("mats", np.vectorize(int, otypes=[object])(arr),
-                    tuple(int(c) for c in self.costs))
+        self._store(tuple(int(c) for c in self.costs),
+                    mats=np.vectorize(int, otypes=[object])(arr))
 
     @property
     def entry_bound(self) -> int:
@@ -135,7 +149,7 @@ class PartitionedInstance(_ArrayFields):
         if n < 1 or arr.shape != (n, n, 2, 2) or len(self.costs) != n \
                 or any(len(row) != n for row in self.costs):
             raise DimensionMismatchError(f"need (n, n, 2, 2) blocks, n x n costs; got {arr.shape}")
-        self._store("blocks", arr, tuple(tuple(int(c) for c in row) for row in self.costs))
+        self._store(tuple(tuple(int(c) for c in row) for row in self.costs), blocks=arr)
 
     @property
     def p(self) -> int:
@@ -172,12 +186,12 @@ def gen_bipartite(weights: Sequence[Sequence[int | None]], p: int = DEFAULT_PRIM
     if not cells:
         raise DimensionMismatchError("bipartite instance needs at least one present cell")
     rows, cols, costs = zip(*cells)
-    stack = np.zeros((len(cells), n, n), dtype=np.int64)
-    stack[np.arange(len(cells)), rows, cols] = 1
     base = {"generator": "bipartite",
             "weights": [[None if w is None else int(w) for w in row] for row in weights]}
     base.update(meta or {})
-    return Instance.from_arrays(p, stack, costs, base)
+    return Instance(PrimeModulus(p), ConstPencil._wrap(  # p checked first; one unit entry a term
+        p, n, len(cells), np.arange(len(cells)), np.array(rows), np.array(cols),
+        as_residues([1] * len(cells), p)), costs, base)
 
 
 def random_bipartite_weights(n: int, seed: int, cost_range: tuple[int, int] = (-10, 10),

@@ -117,15 +117,13 @@ class LaurentPencil:
     def from_constants(cls, p: int, mats: Sequence, degrees: Sequence[int] | None = None
                        ) -> "LaurentPencil":
         """B_k = mats[k] t^degrees[k] (degree 0 by default); zero entries store nothing."""
-        stack = as_residues(mats, p)
-        m, n = len(stack), stack.shape[-1]
-        degree = np.zeros(m, np.int64) if degrees is None else np.array(degrees, np.int64)
-        if stack.shape != (m, n, n) or degree.shape != (m,):
-            raise DimensionMismatchError(f"need m n x n matrices and m degrees, got {stack.shape}")
+        pen = ConstPencil(p, mats)
+        degree = np.zeros(pen.m, np.int64) if degrees is None else np.array(degrees, np.int64)
+        if degree.shape != (pen.m,):
+            raise DimensionMismatchError(f"need m = {pen.m} degrees, got {degree.shape}")
         if np.any(degree > 0):
             raise PositiveDegreeError("coefficient stored at positive degree")
-        term, row, col = np.nonzero(stack)
-        return cls._wrap(p, n, m, term, degree[term], row, col, stack[term, row, col])
+        return cls._wrap(p, pen.n, pen.m, pen.term, degree[pen.term], pen.row, pen.col, pen.value)
 
     @classmethod
     def from_terms(cls, p: int, n: int, terms: Sequence[LaurentMatrix]) -> "LaurentPencil":

@@ -55,9 +55,9 @@ has full commutative rank for d = n - 1), is kept as an independent check;
 the solver does not call it.
 
 :class:`ConstPencil` is the one constant-pencil type, an entry store like
-:class:`~degdet.laurent.LaurentPencil` without degrees: the solver's leading
-pencils (:func:`degdet.laurent.leading`) and the blow-ups of
-:func:`build_blowup` are all of it.
+:class:`~degdet.laurent.LaurentPencil` without degrees: an instance's terms,
+the solver's leading pencils (:func:`degdet.laurent.leading`) and the
+blow-ups of :func:`build_blowup` are all of it.
 """
 
 from __future__ import annotations
@@ -87,10 +87,8 @@ class ConstPencil:
 
     def __init__(self, p: int, stack) -> None:
         arr = as_residues(stack, p)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-            raise DimensionMismatchError(f"pencil stack must be (m, n, n), got {arr.shape}")
-        if arr.shape[0] < 1:
-            raise DimensionMismatchError("pencil needs at least one term")
+        if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or 0 in arr.shape:
+            raise DimensionMismatchError(f"need an (m, n, n) stack, m, n >= 1; got {arr.shape}")
         term, row, col = np.nonzero(arr)
         self._fill(p, arr.shape[1], arr.shape[0], term, row, col, arr[term, row, col])
 

@@ -23,7 +23,7 @@ from .errors import (DimensionMismatchError, PrecisionUnsupportedError,
 from .field_linalg import as_residues, batch_pow, mod_matmul
 from .infinity import MINUS_INFINITY, MinusInfinity, is_minus_infinity
 from .instances import Instance
-from .ncrank import ConstPencil, build_blowup
+from .ncrank import build_blowup
 
 #: A bipartite instance with no perfect matching has deg Det = -infinity,
 #: so the two outcomes share the one distinguished value.
@@ -73,17 +73,12 @@ def _geometric_base(p: int, npts: int, rng: np.random.Generator) -> int:
     for g in candidates:
         if g % p in (0, 1):
             continue
-        taus = np.empty(npts, dtype=np.int64)
-        taus[0] = 1
         val = 1
-        ok = True
-        for j in range(1, npts):
+        for _ in range(1, npts):
             val = val * g % p
             if val == 1:  # order of g is below npts
-                ok = False
                 break
-            taus[j] = val
-        if ok and np.unique(taus).size == npts:
+        else:  # g^i = g^j with i < j < npts would give g^(j-i) = 1
             return g % p
     raise PrecisionUnsupportedError(
         f"found no evaluation base with {npts} distinct powers mod {p}")
@@ -174,10 +169,9 @@ def degdet_blowup(inst: Instance, seed: int = 0) -> int | MinusInfinity:
     d = max(1, n - 1)
     if d == 1:
         return degdet_commutative(inst, seed=seed)
-    blow = build_blowup(ConstPencil(inst.p, inst.stack), d)
     costs = [c for c in inst.costs for _ in range(d * d)]
-    blow_inst = Instance.from_arrays(inst.p, blow.stack, costs,
-                                     {"blowup_of": dict(inst.meta), "d": d})
+    blow_inst = Instance(inst.modulus, build_blowup(inst.pencil, d), costs,
+                         {"blowup_of": dict(inst.meta), "d": d})
     seeds = np.random.SeedSequence(seed).spawn(BLOWUP_RETRIES)
     last = None
     for child in seeds:
@@ -276,12 +270,12 @@ def newton_small(inst: Instance) -> NewtonSupport:
     Coefficients are tracked over GF(p), so cancellations are respected.
     Limited to n <= NEWTON_SIZE_LIMIT = 7 (the expansion has n! products).
     """
-    p, n, m = inst.p, inst.n, inst.m
+    p, n, m, pen = inst.p, inst.n, inst.m, inst.pencil
     if n > NEWTON_SIZE_LIMIT:
         raise SizeLimitError(f"newton_small is capped at n={NEWTON_SIZE_LIMIT}, got {n}")
-    stack = inst.stack
-    entries = [[{k: int(stack[k, i, j]) for k in range(m) if stack[k, i, j]}
-                for j in range(n)] for i in range(n)]
+    entries = [[{} for _ in range(n)] for _ in range(n)]  # entries[i][j] = {k: A_k[i, j]}
+    for k, i, j, val in zip(*(arr.tolist() for arr in (pen.term, pen.row, pen.col, pen.value))):
+        entries[i][j][k] = val
     total: dict[tuple[int, ...], int] = {}
     zero_exp = (0,) * m
     for perm in permutations(range(n)):

@@ -27,6 +27,7 @@ from .field_linalg import mod_rank
 from .infinity import MINUS_INFINITY, MinusInfinity, is_minus_infinity
 from .instances import Instance, PartitionedInstance
 from .laurent import LaurentPencil, leading
+from .ncrank import ConstPencil
 from .solver import SolveOptions, solve_with_final_pencil
 
 #: largest n that :func:`enumerate_perfect` enumerates
@@ -76,17 +77,15 @@ class TwoMatching:
 
 def to_instance(part: PartitionedInstance) -> Instance:
     """Embed each nonzero block at its position; term order is row-major."""
-    n2 = 2 * part.n
     edges = part.edges()
     if not edges:
         raise DimensionMismatchError("partitioned instance has no nonzero block")
-    stack = np.zeros((len(edges), n2, n2), dtype=part.blocks.dtype)
-    for k, (i, j) in enumerate(edges):
-        stack[k, 2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = part.blocks[i, j]
-    costs = [part.costs[i][j] for (i, j) in edges]
-    return Instance.from_arrays(part.p, stack, costs,
-                                {"generator": "partitioned2x2-embedded",
-                                 "edges": [list(e) for e in edges]})
+    i, j = np.array(edges).T
+    k, a, b = np.nonzero(part.blocks[i, j])  # term k is block edges[k], entry (a, b) of it
+    pencil = ConstPencil._wrap(part.p, 2 * part.n, len(edges), k, 2 * i[k] + a, 2 * j[k] + b,
+                               part.blocks[i[k], j[k], a, b])
+    return Instance(part.modulus, pencil, [part.costs[r][c] for r, c in edges],
+                    {"generator": "partitioned2x2-embedded", "edges": [list(e) for e in edges]})
 
 
 def is_consistent(matching: TwoMatching, part: PartitionedInstance, seed: int = 0) -> bool:

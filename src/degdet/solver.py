@@ -192,13 +192,13 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
     golden records), and :func:`partitioned.solve_and_extract` reads its
     tight terms.
 
-    The certificate of the constant pencil decides singularity; that pencil
-    holds the nonzero entries of the instance's stack, found once, and every
-    phase-0 entry array is one of its arrays.  With scaling phase 0 is that
-    pencil, whose one oracle call the certificate answers; without scaling
-    it is an extra call, not counted in `oracle_calls` nor in
-    `phase_seconds[0]`, which with scaling includes it.  Every oracle call
-    is answered by a verified certificate or raises NcRankGapError.
+    The certificate of the instance's constant pencil `inst.pencil` decides
+    singularity, and every phase-0 entry array is one of its arrays.  With
+    scaling phase 0 is that pencil, whose one oracle call the certificate
+    answers; without scaling it is an extra call, not counted in
+    `oracle_calls` nor in `phase_seconds[0]`, which with scaling includes
+    it.  Every oracle call is answered by a verified certificate or raises
+    NcRankGapError.
     """
     opts = opts or SolveOptions()
     n = inst.n
@@ -210,14 +210,12 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
     pencil = witness = None
     done: list[tuple[int, int, float]] = []  # (D*, oracle calls, seconds) per phase
     t0 = time.perf_counter()
-    term, row, col = np.nonzero(inst.stack)
-    const = ConstPencil._wrap(inst.p, n, inst.m, term, row, col, inst.stack[term, row, col])
-    cert = solve_R(const, int(rng.integers(0, 2**63)))
+    cert = solve_R(inst.pencil, int(rng.integers(0, 2**63)))
     if cert.value < n:
         value, witness = MINUS_INFINITY, cert
     else:
         t0 = t0 if opts.scaling_enabled else time.perf_counter()  # only then is it phase 0
-        pencil, done = _descend(const, shifted, opts, rng, lim, cert, t0)
+        pencil, done = _descend(inst.pencil, shifted, opts, rng, lim, cert, t0)
         value = done[-1][0] - n * b
     dstars, calls, seconds = zip(*done) if done else ((), (), ())
     report = SolveReport(value, dstars, calls, len(done), sum(calls), b,

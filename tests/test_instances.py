@@ -1,14 +1,15 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from degdet import (DEFAULT_PRIME, Instance, IntegerInstance, MINUS_INFINITY,
-                    PartitionedInstance, PrimeModulus, SolveOptions, degdet_blowup, gen_2x2,
-                    gen_bipartite, gen_dense, gen_integer, gen_rank1, hungarian,
-                    is_minus_infinity, load, random_bipartite_weights,
-                    random_rank_profile, save, solve)
+from degdet import (DEFAULT_PRIME, ConstPencil, Instance, IntegerInstance, MINUS_INFINITY,
+                    PartitionedInstance, PrimeModulus, SolveOptions, build_blowup,
+                    degdet_blowup, gen_2x2, gen_bipartite, gen_dense, gen_integer, gen_rank1,
+                    hungarian, is_minus_infinity, load, random_bipartite_weights,
+                    random_rank_profile, save, solve, to_instance)
 from degdet.errors import DimensionMismatchError, FormatError, NonPrimeError
 from degdet.field_linalg import mod_rank
 
@@ -118,18 +119,45 @@ def test_bipartite_solve_equals_hungarian_class_property():
 
 
 def test_save_load_roundtrip_all_generators():
+    part = gen_2x2(2, seed=4, rank_profile=random_rank_profile(2, seed=4))
     insts = [
         gen_bipartite([[1, None], [2, 0]]),
+        gen_bipartite([[1, None], [2, 0]], p=2**61 - 1),  # object residues
         gen_rank1(2, 3, seed=1),
         gen_dense(3, 2, seed=2),
         gen_integer(2, 2, seed=3, entry_bound=4),
-        gen_2x2(2, seed=4, rank_profile=random_rank_profile(2, seed=4)),
+        part,
+        to_instance(part),  # entries built from the blocks
     ]
     for inst in insts:
         data = save(inst)
         again = load(data)
         assert type(again) is type(inst)
         assert save(again) == data
+        assert again == inst
+
+
+def test_instance_equality_ignores_entry_order():
+    blow = build_blowup(gen_dense(3, 4, seed=9).pencil, 2)  # entries in blow-up order
+    sorted_blow = ConstPencil(P, blow.stack)  # the same entries in (term, row, col) order
+    assert not np.array_equal(blow.term, sorted_blow.term)
+    costs = list(range(blow.m))
+    assert Instance(PrimeModulus(P), blow, costs) == Instance(PrimeModulus(P), sorted_blow, costs)
+    assert Instance(PrimeModulus(P), blow, costs) != Instance(PrimeModulus(P), blow, costs[::-1])
+    assert gen_dense(3, 4, seed=10) != gen_dense(3, 4, seed=9)
+
+
+def test_bipartite_solve_holds_entries_not_a_dense_stack():
+    # n = 40, m = 1600 terms: a dense (m, n, n) int64 stack alone would be 20 MB
+    weights = np.random.default_rng(140).integers(-10**6, 10**6, (40, 40)).tolist()
+    tracemalloc.start()
+    try:
+        report = solve(gen_bipartite(weights), SolveOptions(seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.value == hungarian(weights)
+    assert peak <= 8 * 2**20
 
 
 def test_roundtrip_preserves_exact_values():
@@ -190,7 +218,7 @@ def test_instance_validates_shapes():
     with pytest.raises(DimensionMismatchError):
         Instance.from_arrays(P, [np.zeros((2, 3), dtype=int)], [1])
     with pytest.raises(DimensionMismatchError):
-        Instance(PrimeModulus(P), np.eye(2, dtype=int)[None], (1, 2))
+        Instance(PrimeModulus(P), ConstPencil(P, np.eye(2, dtype=int)[None]), (1, 2))
 
 
 def test_instance_rejects_empty():

@@ -161,7 +161,7 @@ def test_solve_r_reproducible():
 @pytest.mark.parametrize("p", [5, P, 2**61 - 1])
 def test_build_blowup_is_a_readonly_const_pencil(p):
     rng = np.random.default_rng(p % 89)
-    dtype = np.int64 if p <= P else object  # the dtype Instance.stack() gives
+    dtype = np.int64 if p <= P else object  # the residue dtype of GF(p) (as_residues)
     pen = ConstPencil(p, rng.integers(0, 5, size=(2, 3, 3)).astype(dtype) * (p // 5))
     d = 2
     blow = build_blowup(pen, d)

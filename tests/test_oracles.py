@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import degdet
 
 from degdet import (DEFAULT_PRIME, INFEASIBLE, Instance, gen_bipartite, gen_dense,
                     degdet_blowup, degdet_commutative, hungarian, is_minus_infinity,
@@ -193,3 +200,14 @@ def test_batch_det_at_a_62_bit_prime_matches_exact_integers():
     mats = np.random.default_rng(0).integers(0, big, size=(4, 3, 3))
     got = batch_det(mats, big)
     assert [int(x) for x in got] == [det_int(mat) % big for mat in mats]
+
+
+def test_interpolation_oracles_leave_numpy_ma_unimported():
+    # a plain np.unique imports numpy.ma on its first call, about 9 ms a process
+    code = ("import sys; from degdet import degdet_blowup, degdet_commutative, gen_dense; "
+            "inst = gen_dense(3, 4, seed=1); degdet_commutative(inst); degdet_blowup(inst); "
+            "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(degdet.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.split() == ["False"]

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import degdet
-from degdet import (ConstPencil, FieldMatrix, LaurentMatrix, LaurentPencil, SolveOptions, cli,
-                    gen_2x2, gen_bipartite, gen_integer, gen_rank1, is_minus_infinity, solve,
-                    solve_and_extract, solve_rational_report)
+from degdet import (ConstPencil, FieldMatrix, Instance, LaurentMatrix, LaurentPencil,
+                    SolveOptions, cli, gen_2x2, gen_bipartite, gen_integer, gen_rank1,
+                    is_minus_infinity, solve, solve_and_extract, solve_rational_report)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,6 +38,11 @@ PUBLIC_NAMES = [
 def test_solve_options_are_the_four_settings():
     assert [f.name for f in dataclasses.fields(SolveOptions)] == [
         "seed", "scaling_enabled", "truncation_enabled", "truncation_depth"]
+
+
+def test_instance_holds_its_terms_as_one_pencil():
+    # a dense (m, n, n) field would put the stack back in every instance
+    assert [f.name for f in dataclasses.fields(Instance)] == ["modulus", "pencil", "costs", "meta"]
 
 
 def test_public_names_are_the_snapshot():
