@@ -130,8 +130,11 @@ def _load_instance(path: Path, prime: int | None):
 
 def _reduce_to(inst, p: int):
     """The field or partitioned instance with its residues reduced modulo p."""
-    if isinstance(inst, Instance):
-        return Instance.from_arrays(p, inst.stack, inst.costs, inst.meta)
+    if isinstance(inst, Instance):  # the pencil's entries, less those that vanish mod p
+        pencil = inst.pencil
+        return Instance(PrimeModulus(p), instances._residue_pencil(  # p checked first
+            p, pencil.n, pencil.m, pencil.term, pencil.row, pencil.col, pencil.value),
+            inst.costs, inst.meta)
     if isinstance(inst, PartitionedInstance):
         return PartitionedInstance(PrimeModulus(p), inst.blocks, inst.costs, inst.meta)
     raise UsageError("--prime does not apply to an integer instance: "

@@ -7,9 +7,13 @@ of the nonzero residues; `stack` and `mats` are built from it on each read),
 (n x n x 2 x 2 residues, `blocks[i, j]` = A_ij).  Equality compares by value.
 
 The file format is JSON with explicit integer arrays: `version`, `n`, `m`,
-`mats` (m x n x n), `costs`, optional `prime`, and a free-form `meta` object.
-Integer instances (for the multi-prime rational pipeline) simply omit
-`prime`; 2x2-partitioned instances replace `mats`/`costs` by the assembled
+`costs`, optional `prime`, and a free-form `meta` object.  A field instance
+stores its terms in one of two encodings, whichever holds fewer integers:
+`entries` (four equal-length lists `term`, `row`, `col`, `value` of the
+nonzero residues, sorted by (term, row, col)) when 4E < m n^2 for E entries,
+else `mats` (m x n x n); `load` accepts either.  Integer instances (for the
+multi-prime rational pipeline) omit `prime` and always store `mats`;
+2x2-partitioned instances replace the terms and `costs` by the assembled
 `blocks` matrix (2n x 2n) plus `block_costs` (n x n).  Absent bipartite cells
 are encoded by omission, never by a zero cost: cost 0 is a legal weight.
 """
@@ -27,6 +31,7 @@ from .field_linalg import DEFAULT_PRIME, FieldMatrix, PrimeModulus, as_residues,
 from .ncrank import ConstPencil
 
 SCHEMA_VERSION = 1
+_ENTRY_KEYS = ("term", "row", "col", "value")  # a file's `entries` lists, in sort order
 
 
 class _ArrayFields:
@@ -299,8 +304,12 @@ def save(inst: Instance | IntegerInstance | PartitionedInstance) -> bytes:
     """Canonical JSON bytes; load(save(x)) == x exactly."""
     if isinstance(inst, Instance):
         doc = {"version": SCHEMA_VERSION, "prime": inst.p, "n": inst.n, "m": inst.m,
-               "mats": inst.stack.tolist(),
                "costs": list(inst.costs), "meta": _meta_jsonable(inst.meta)}
+        pencil = inst.pencil
+        if 4 * len(pencil.value) < pencil.m * pencil.n ** 2:  # fewer integers than the stack
+            doc["entries"] = dict(zip(_ENTRY_KEYS, (arr.tolist() for arr in _sorted(pencil))))
+        else:
+            doc["mats"] = inst.stack.tolist()
     elif isinstance(inst, IntegerInstance):
         doc = {"version": SCHEMA_VERSION, "n": inst.n, "m": inst.m,
                "mats": inst.mats.tolist(),
@@ -328,13 +337,16 @@ def _int_array(value, what: str, exact: bool) -> np.ndarray:
 
     numpy reads a JSON true/false among integers as 1/0, which the dtype does
     not show, so `exact` (the file holds such a literal somewhere) checks the
-    type of every entry; object arrays (ints beyond int64) are always checked.
+    type of every entry.  Any dtype but int64 is checked per entry and kept
+    as Python ints: ints beyond int64, an empty list (float64), and values in
+    [2**63, 2**64), which numpy reads as uint64 (wrapping when cast to int64)
+    or, among smaller ints, as float64.
     """
     arr = np.array(value)
-    if exact or arr.dtype.kind == "O":
-        _ints(np.array(value, dtype=object).ravel(), what)
-    elif arr.dtype.kind not in "iu":
-        raise FormatError(f"{what} must hold integers only")
+    if exact or arr.dtype.kind != "i":
+        obj = np.array(value, dtype=object)
+        _ints(obj.ravel(), what)
+        return arr if arr.dtype.kind == "i" else obj
     return arr
 
 
@@ -363,7 +375,10 @@ def load(data: bytes) -> Instance | IntegerInstance | PartitionedInstance:
             return _load_partitioned(doc, exact)
         if "prime" in doc:
             p = _ints([doc["prime"]], "prime")[0]
-            PrimeModulus(p)  # raises NonPrimeError on composite moduli
+            modulus = PrimeModulus(p)  # raises NonPrimeError on composite moduli
+            if "entries" in doc:
+                return Instance(modulus, _load_entries(doc, p, exact),
+                                _ints(doc["costs"], "costs"), doc.get("meta", {}))
             inst = Instance.from_arrays(p, _int_array(doc["mats"], "mats", exact),
                                         _ints(doc["costs"], "costs"), doc.get("meta", {}))
             _check_header(doc, n=inst.n, m=inst.m)
@@ -377,6 +392,36 @@ def load(data: bytes) -> Instance | IntegerInstance | PartitionedInstance:
         raise
     except (KeyError, TypeError, ValueError, IndexError, DimensionMismatchError) as exc:
         raise FormatError(f"malformed instance file: {exc}") from exc
+
+
+def _load_entries(doc: dict, p: int, exact: bool) -> ConstPencil:
+    """The pencil of a field file's `entries`, in (term, row, col) order as
+    ConstPencil(p, stack) keeps the same terms; FormatError on any bad entry."""
+    listed = doc["entries"]
+    if "mats" in doc or not isinstance(listed, dict) or set(listed) != set(_ENTRY_KEYS):
+        raise FormatError(f"a field file holds mats or entries {list(_ENTRY_KEYS)}, not both")
+    n, m = _ints([doc["n"], doc["m"]], "n and m")
+    arrays = [_int_array(listed[key], f"entries.{key}", exact) for key in _ENTRY_KEYS]
+    if min(n, m) < 1 or any(arr.ndim != 1 or len(arr) != len(arrays[0]) for arr in arrays):
+        raise FormatError("entries need n, m >= 1 and four flat lists of one length")
+    for key, arr, size in zip(_ENTRY_KEYS, arrays, (m, n, n)):
+        if len(arr) and not 0 <= arr.min() <= arr.max() < size:
+            raise FormatError(f"entries.{key} must lie in [0, {size})")
+    term, row, col = (np.asarray(arr, dtype=np.int64) for arr in arrays[:3])
+    order = np.lexsort((col, row, term))
+    term, row, col = term[order], row[order], col[order]
+    if np.any((np.diff(term) == 0) & (np.diff(row) == 0) & (np.diff(col) == 0)):
+        raise FormatError("entries give one (term, row, col) twice")
+    return _residue_pencil(p, n, m, term, row, col, arrays[3][order])
+
+
+def _residue_pencil(p: int, n: int, m: int, term: np.ndarray, row: np.ndarray,
+                    col: np.ndarray, values: np.ndarray) -> ConstPencil:
+    """The pencil of distinct (term, row, col) cells in their given order, with
+    `values` reduced mod p and the cells that vanish dropped."""
+    value = as_residues(values, p)
+    keep = value != 0
+    return ConstPencil._wrap(p, n, m, term[keep], row[keep], col[keep], value[keep])
 
 
 def _load_partitioned(doc: dict, exact: bool) -> PartitionedInstance:

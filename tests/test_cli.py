@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from degdet import cli, instances, partitioned, solve
@@ -165,6 +166,45 @@ def test_solve_prime_override(capsys, tmp_path):
     assert code == 0
     base = json.loads(run_cli(capsys, "solve", str(path))[1])["value"]
     assert json.loads(out)["value"] == base  # bipartite degree is field-independent
+
+
+def test_gen_bipartite_writes_entries_that_solve_and_verify_agree_on(capsys, tmp_path):
+    path, digest = gen_file(capsys, tmp_path, "bipartite", "--n", "12", "--seed", "1")
+    doc = json.loads(path.read_bytes())
+    assert "entries" in doc and "mats" not in doc
+    code, out = run_cli(capsys, "solve", str(path))
+    solved = json.loads(out)
+    assert code == 0 and solved["digest"] == digest
+    code, out = run_cli(capsys, "verify", str(path), "--oracle", "hungarian")
+    verified = json.loads(out)
+    assert code == 0 and verified["oracles"][0]["agree"]
+    assert verified["value"] == verified["oracles"][0]["value"] == solved["value"]
+
+
+def _dense_route(inst, q):
+    return instances.Instance.from_arrays(q, inst.stack, inst.costs, inst.meta)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: instances.gen_bipartite(instances.random_bipartite_weights(4, seed=6, density=0.8)),
+    lambda: instances.Instance.from_arrays(  # 101 and 303 vanish mod 101
+        instances.DEFAULT_PRIME, [[[101, 1], [2, 3]], [[303, 202 + 5], [0, 7]]], [4, -2],
+        {"note": "dense"}),
+], ids=["bipartite", "dense-with-a-vanishing-residue"])
+def test_prime_reduces_entries_as_the_dense_route_does(capsys, tmp_path, make):
+    inst, q = make(), 101
+    path = tmp_path / "inst.json"
+    path.write_bytes(instances.save(inst))
+    reduced, expected = cli._reduce_to(instances.load(path.read_bytes()), q), _dense_route(inst, q)
+    for name in ("term", "row", "col", "value"):
+        got, want = getattr(reduced.pencil, name), getattr(expected.pencil, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert reduced == expected
+    code, out = run_cli(capsys, "solve", str(path), "--prime", str(q))
+    report = json.loads(out)
+    assert code == 0
+    assert report["digest"] == hashlib.sha256(instances.save(expected)).hexdigest()
+    assert report["value"] == solve(expected).value
 
 
 def test_solve_prime_applies_to_partitioned_files(capsys, tmp_path):

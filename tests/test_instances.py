@@ -307,6 +307,7 @@ SAVE_DIGESTS = {
     "field-int64": "69202d7b24a1c84a9ecc886c66ee889febb637ffd7d17be104979b0be985fbfb",
     "integer-2^70": "4ab0782f7bfc0972207399edcdcc792fc6101d34e56390a12944481cbd33a24d",
     "partitioned": "c27defbf9d1e3a211b3ea44563e51a2d9a0ff2fef0fad96d568c4a91798db596",
+    "field-entries-2^61-1": "13859d3911330145941b72ff45768c62cda9bd4430ee443dc334ce671ad05969",
 }
 
 
@@ -320,6 +321,7 @@ def _save_digest_cases():
             2, 2, (np.array([[2**70, -3], [0, 1]], dtype=object), np.array([[1, 2], [3, -4]])),
             (5, -1), {"generator": "integer"}),
         "partitioned": gen_2x2(3, 4, random_rank_profile(3, 4)),
+        "field-entries-2^61-1": gen_bipartite([[3, -1, None], [0, 7, 2], [5, -4, 1]], p=2**61 - 1),
     }
 
 
@@ -328,6 +330,144 @@ def test_save_bytes_are_pinned(name):
     data = save(_save_digest_cases()[name])
     assert hashlib.sha256(data).hexdigest() == SAVE_DIGESTS[name]
     assert save(load(data)) == data
+
+
+def _encoding(inst) -> str:
+    doc = json.loads(save(inst))
+    return "entries" if "entries" in doc else "mats"
+
+
+def test_field_files_take_the_encoding_with_fewer_integers():
+    # entries hold 4 integers per nonzero residue, mats m n^2 cells
+    assert _encoding(gen_dense(3, 4, seed=11)) == "mats"
+    assert _encoding(gen_rank1(3, 4, seed=0)) == "mats"
+    assert _encoding(gen_bipartite([[1, 2], [3, 4]])) == "mats"  # 4 * 4 == 4 * 2^2
+    for n in (3, 5, 12):
+        assert _encoding(gen_bipartite(random_bipartite_weights(n, seed=n))) == "entries"
+    assert _encoding(gen_bipartite([[1, None, 2], [None, 3, None], [4, None, 5]])) == "entries"
+
+
+@pytest.mark.parametrize("p", [P, 2**61 - 1, 5])
+def test_entries_load_as_the_arrays_of_the_dense_loader(p):
+    inst = gen_bipartite(random_bipartite_weights(6, seed=3, density=0.7), p=p)
+    data = save(inst)
+    dense = ConstPencil(p, inst.stack)  # what loading the mats file keeps
+    loaded = load(data).pencil
+    for name in ("term", "row", "col", "value"):
+        got, want = getattr(loaded, name), getattr(dense, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert (loaded.n, loaded.m) == (dense.n, dense.m)
+
+    def reverse(doc):  # a file may list its entries in any order
+        doc["entries"] = {key: listed[::-1] for key, listed in doc["entries"].items()}
+    assert all(np.array_equal(getattr(load(_tampered(inst, reverse)).pencil, name),
+                              getattr(dense, name)) for name in ("term", "row", "col", "value"))
+
+
+def test_an_all_zero_pencil_saves_empty_entries():
+    inst = Instance.from_arrays(P, [[[0, P], [0, 0]]], [5])
+    assert json.loads(save(inst))["entries"] == {"term": [], "row": [], "col": [], "value": []}
+    assert load(save(inst)) == inst and save(load(save(inst))) == save(inst)
+
+
+def _as_mats_file(inst) -> bytes:
+    """The file of a field instance in the dense encoding, as older saves wrote it."""
+    doc = json.loads(save(inst))
+    doc.pop("entries")
+    doc["mats"] = inst.stack.tolist()
+    return json.dumps(doc).encode()
+
+
+def test_a_dense_file_of_a_sparse_instance_still_loads():
+    for inst in (gen_bipartite(random_bipartite_weights(5, seed=8, density=0.8)),
+                 gen_bipartite([[1, None, 2], [3, 4, 5], [None, 6, 7]], p=P61)):
+        again = load(_as_mats_file(inst))
+        assert again == inst
+        assert save(again) == save(inst)  # and re-saves as entries
+
+
+def _bipartite_file(edit) -> bytes:
+    return _tampered(gen_bipartite([[1, 2, None], [3, 4, 5], [None, 6, 7]]), edit)
+
+
+def _set_listed(key, index, value):
+    return lambda doc: doc["entries"][key].__setitem__(index, value)
+
+
+def _repeat_first_cell(doc):
+    for key in ("term", "row", "col"):
+        doc["entries"][key][-1] = doc["entries"][key][0]
+
+
+def _no_entries(**sizes):
+    return lambda doc: doc.update(entries={key: [] for key in doc["entries"]}, **sizes)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["entries"]["row"].pop(),
+    lambda doc: doc["entries"]["value"].append(1),
+    _set_listed("term", 2, -1), _set_listed("term", 2, 7),
+    _set_listed("row", 0, -1), _set_listed("row", 0, 3),
+    _set_listed("col", 6, -2), _set_listed("col", 6, 3),
+    _repeat_first_cell,
+    lambda doc: doc.pop("n"), lambda doc: doc.pop("m"),
+    lambda doc: doc.update(n=2), lambda doc: doc.update(n=0),
+    lambda doc: doc.update(m=6), lambda doc: doc.update(m=8), lambda doc: doc.update(m=0),
+    lambda doc: doc.update(n=3.0), lambda doc: doc.update(m=True),
+    lambda doc: doc.update(mats=[[[0] * 3] * 3] * 7),
+    lambda doc: doc["entries"].pop("value"),
+    lambda doc: doc["entries"].update(degree=[0] * 7),
+    lambda doc: doc.update(entries=[]),
+    lambda doc: doc["entries"].update(row=[[0]] * 7),
+    _no_entries(n=0), _no_entries(m=0, costs=[]),
+], ids=["short-row", "long-value", "term-neg", "term-m", "row-neg", "row-n", "col-neg",
+        "col-n", "repeated-cell", "no-n", "no-m", "n-small", "n-0", "m-small", "m-large",
+        "m-0", "n-float", "m-bool", "mats-too", "no-value", "extra-key", "not-an-object",
+        "nested-row", "empty-n-0", "empty-m-0"])
+def test_load_rejects_a_bad_entries_file(edit):
+    with pytest.raises(FormatError):
+        load(_bipartite_file(edit))
+
+
+@pytest.mark.parametrize("key", ["term", "row", "col", "value"])
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1", True, False, None])
+@pytest.mark.parametrize("index", [0, 6])
+def test_load_rejects_a_non_integer_in_entries(key, bad, index):
+    with pytest.raises(FormatError):
+        load(_bipartite_file(_set_listed(key, index, bad)))
+
+
+def test_entry_values_load_reduced_and_zero_residues_as_no_entry():
+    def edit(doc):
+        doc["entries"]["value"][:3] = [P + 2, 2 * P, 2**63]
+    again = load(_bipartite_file(edit))
+    assert (again.pencil.term.tolist(), again.pencil.value.tolist()) == (
+        [0, 2, 3, 4, 5, 6], [2, 2**63 % P, 1, 1, 1, 1])
+    assert again == Instance.from_arrays(P, again.stack, again.costs, again.meta)
+
+
+def test_integers_from_2_63_to_2_64_load_as_their_own_residues():
+    # numpy reads them as uint64, or as float64 beside smaller ints
+    for big in (2**63, 2**64 - 1):
+        doc = json.loads(save(gen_dense(1, 2, seed=0, p=5)))
+        doc["mats"] = [[[big]], [[3]]]
+        assert load(json.dumps(doc).encode()).stack.ravel().tolist() == [big % 5, 3]
+        doc["mats"] = [[[big]], [[big]]]
+        assert load(json.dumps(doc).encode()).stack.ravel().tolist() == [big % 5] * 2
+
+
+def test_saving_and_loading_a_bipartite_file_builds_no_dense_stack():
+    # n = 40: the dense file holds 2.56 M cells, its entries 6,400 integers
+    weights = np.random.default_rng(140).integers(-10**6, 10**6, (40, 40)).tolist()
+    tracemalloc.start()
+    try:
+        inst = gen_bipartite(weights)
+        again = load(save(inst))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == inst
+    assert peak <= 4 * 2**20
 
 
 P61 = 2**61 - 1
