@@ -37,10 +37,14 @@ _SPLIT = 1 << 16
 _MAX_INNER_DIM = 1 << 16  # guards the split-multiply accumulation bound
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PROVEN: dict[int, None] = {}  # the last primes is_prime accepted, oldest first
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n < 2**64."""
+    """Deterministic Miller-Rabin, exact for every n < 2**64.  The last 1024
+    primes it accepted are remembered, so each is tested once while it stays."""
+    if type(n) is int and n in _PROVEN:  # the pow below refuses floats and numpy ints
+        return True
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -60,6 +64,9 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    _PROVEN[n] = None
+    if len(_PROVEN) > 1024:
+        _PROVEN.pop(next(iter(_PROVEN)), None)
     return True
 
 

@@ -7,11 +7,12 @@ expansion coefficient cannot vanish modulo all of them at once.  The primes
 are taken downward from 2**31 - 1 until their exact product reaches 2**ell
 > L, about log2 L / 31 of them (the standard multi-modular choice, von zur
 Gathen & Gerhard, Modern Computer Algebra, ch. 5).  A prime whose solve
-raises a sampling or precision error is skipped with a recorded reason.  A
-skip never inflates the maximum, but it leaves the solved primes' product
-short of 2**ell, so the walk goes on downward past the budget until the
-solved product reaches 2**ell again; once as many primes have been skipped
-as the budget holds, :class:`AllPrimesFailedError` is raised.
+raises NcRankGapError, IterationBoundExceededError, PrecisionUnsupportedError
+or RetryExhaustedError (the last two only from oracles) is skipped with a
+recorded reason.  A skip never inflates the maximum, but it leaves the solved
+primes' product short of 2**ell, so the walk goes on downward past the budget
+until the solved product reaches 2**ell again; once as many primes have been
+skipped as the budget holds, :class:`AllPrimesFailedError` is raised.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 from itertools import count
 
 from .errors import (AllPrimesFailedError, DimensionMismatchError,
-                     IterationBoundExceededError, PrecisionUnsupportedError,
+                     IterationBoundExceededError, NcRankGapError, PrecisionUnsupportedError,
                      RetryExhaustedError)
 from .field_linalg import is_prime
 from .infinity import MinusInfinity
@@ -135,8 +136,8 @@ def solve_rational_report(inst: IntegerInstance, opts: SolveOptions | None = Non
         try:
             reduced = inst.reduce_mod(p)
             value = solve(reduced, per_prime).value
-        except (PrecisionUnsupportedError, RetryExhaustedError,
-                IterationBoundExceededError) as exc:
+        except (NcRankGapError, IterationBoundExceededError, PrecisionUnsupportedError,
+                RetryExhaustedError) as exc:
             outcomes.append(PrimeOutcome(p, None, skipped=True,
                                          reason=f"{type(exc).__name__}: {exc}"))
             skipped += 1

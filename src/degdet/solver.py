@@ -13,14 +13,16 @@ B_k(t^2), optionally times t^-1, with D* doubling.  With scaling
 N = ceil(log2 max c), so phase 0 starts on the constant pencil; the
 pseudo-polynomial mode is N = 0, one phase on the unscaled costs.
 
-No oracle call is made whose answer is known.  An all-zero leading pencil is
-shifted by -max degree in one move.  Between phases the entries at degree 0
-of term k go to -b_k, b_k in {0, 1}, while entries at degree <= -1 stay
-there, and truncation drops them in the same order; so where b_k is one value
-b on the terms of the last certified leading pencil, the phase is quiet: after
-a shift by b that pencil leads again, its certificate ends the phase with 0
-calls, and only the degree array moves.  A skipped call counts 0 in
-`iterations` but keeps its random draw, so every other call keeps its seed.
+No oracle call is made whose answer the degrees alone decide; a call on a
+pencil certified earlier in the solve still runs, so a later phase can
+recompute an earlier phase's answer.  An all-zero leading pencil is shifted
+by -max degree in one move.  Between phases the degree-0 entries of term k
+go to -b_k, b_k in {0, 1}, entries at degree <= -1 stay there, and truncation
+keeps their order; where b_k is one value b on the last certified leading
+pencil's terms, the phase is quiet: shifted by b, that pencil leads again and
+its certificate ends the phase with 0 calls.  A run of L quiet phases moves
+only the degrees, d_L = 2^L d_0 - sum_j 2^(L-j) (odd_j - b_j) (see _descend).
+A skipped call counts 0 but keeps its random draw, so other calls keep seeds.
 
 With scaling enabled every phase provably needs at most n^2 m + 1 oracle
 calls, and coefficients deeper than 2 n^2 m can never influence the output;
@@ -231,9 +233,20 @@ def _descend(const: ConstPencil, shifted: tuple[int, ...], opts: SolveOptions,
     Returns the final pencil and (D*, oracle calls, seconds) per phase, phase
     0's counted from t0; with scaling `cert` answers phase 0, `const` at
     degree 0.  Phase theta >= 1 maps B_k(t) to B_k(t^2) t^-odd[theta, k] on
-    the degree array alone, with a pencil's -2^61 check and truncation; a
-    quiet phase adds b and runs no descent (the shift's truncation at depth
-    + 1 drops nothing, as entries at degree <= -1 stay there).
+    the degree array alone, d <- 2d - o, o = odd[theta, term], with a
+    pencil's -2^61 check and truncation.  K, the last certified leading
+    pencil's terms, changes only when a phase descends, so the quiet run ahead
+    (phases j = 1..L with odd[theta + j, K] one value b_j, added after the
+    map) ends at d_L = 2^L d_0 - sum_j 2^(L-j) (o_j - b_j), which _advance
+    computes at once.  Degree-0 entries are in K and stay at 0, and one at d
+    <= -1 stays there (2d - o + b <= -1), so that pencil leads the run.  An
+    entry phase j drops (d_j - b_j <= -depth) has d_{j+1} - b_{j+1} <= 2 - 2
+    depth <= -depth, as depth >= 2 n^2 m >= 2, so one mask after the run keeps
+    the same entries in the same order.  1 - d at most doubles per phase, so
+    with L capped at 2^L (1 - min d_0) <= 2^60 no -2^61 check can fire; near
+    the floor a run is one phase.  A run draws its sum_j (1 + b_j) seeds at
+    once, the same stream, and records D* <- 2 D* - n b_j, 0 calls and an even
+    time share per phase.
     """
     n, m = const.n, const.m
     cmax = max(shifted)
@@ -251,22 +264,41 @@ def _descend(const: ConstPencil, shifted: tuple[int, ...], opts: SolveOptions,
     raw = b"".join(((c - 1) % scale).to_bytes(N // 8 + 1, "little") for c in shifted)
     odd = 1 - np.unpackbits(np.frombuffer(raw, np.uint8).reshape(m, -1), axis=1,
                             bitorder="little")[:, N::-1].T
-    degree = pencil.degree
-    for theta in range(1, N + 1):
+    degree, theta = pencil.degree, 0
+    while theta < N:
         t0 = time.perf_counter()
-        degree = 2 * degree - odd[theta, pencil.term]
-        LaurentPencil._check_floor(low := int(degree.min(initial=0)))
-        if lim.depth is not None and low <= -lim.depth:
-            pencil = truncate(pencil._redegree(degree), lim.depth)
-            degree = pencil.degree
-        on = odd[theta, K]
-        b = int(on.max(initial=0))
-        if (on == b).all():  # quiet: b on every term of the last certified leading pencil
-            rng.integers(0, 2**63, size=1 + b)
-            degree = degree + b if b else degree
-            dstar, calls = 2 * dstar - n * b, 0
+        pencil, degree, b = _advance(pencil, degree, odd[theta + 1:], K, lim.depth)
+        if b.size:  # quiet: b_j on every term of the last certified leading pencil
+            rng.integers(0, 2**63, size=b.size + int(b.sum()))
+            seconds = (time.perf_counter() - t0) / b.size
+            for bj in b.tolist():
+                dstar = 2 * dstar - n * bj
+                done.append((dstar, 0, seconds))
         else:
             pencil, dstar, calls, K = _run_phase(pencil._redegree(degree), 2 * dstar, rng, lim)
             degree = pencil.degree
-        done.append((dstar, calls, time.perf_counter() - t0))
+            done.append((dstar, calls, time.perf_counter() - t0))
+        theta += max(b.size, 1)
     return pencil._redegree(degree), done
+
+
+def _advance(pencil: LaurentPencil, degree: np.ndarray, odd: np.ndarray, K: np.ndarray,
+             depth: int | None) -> tuple[LaurentPencil, np.ndarray, np.ndarray]:
+    """Map `degree`, `pencil`'s degrees, over the quiet run at the head of `odd`
+    (see _descend); return the truncated pencil, its degrees and the run's b_j,
+    or, when the next phase descends, its degrees before the descent and no b."""
+    on = odd[0, K]
+    if (on == on[0]).all():  # a quiet run, as long as the bits on K agree
+        on = odd[:max(60 - (-int(degree.min(initial=0))).bit_length(), 1), K]
+        quiet = (on == on[:, :1]).all(axis=1)
+        b = on[:len(quiet) if quiet.all() else int(quiet.argmin()), 0]
+        w = 1 << np.arange(b.size - 1, -1, -1)  # int64 2^(L-j): the uint8 bits cannot wrap
+        degree = degree * (2 * w[0]) - (w @ odd[:b.size] - w @ b)[pencil.term]
+    else:  # the next phase descends: map it alone
+        b, degree = on[:0], 2 * degree - odd[0, pencil.term]
+    cut = int(b[-1]) if b.size else 0  # the last phase truncates before adding b_L
+    LaurentPencil._check_floor(low := int(degree.min(initial=0)) - cut)
+    if depth is not None and low <= -depth:
+        pencil = truncate(pencil._redegree(degree), depth - cut)
+        degree = pencil.degree
+    return pencil, degree, b

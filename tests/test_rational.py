@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -155,8 +156,8 @@ def test_all_primes_failed(monkeypatch):
         rational.solve_rational(inst)
 
 
-def _skip_where(monkeypatch, fails):
-    """Patch the per-prime solve to raise on every prime for which fails(index, p)."""
+def _skip_where(monkeypatch, fails, error=PrecisionUnsupportedError):
+    """Patch the per-prime solve to raise `error` on every prime for which fails(index, p)."""
     import degdet.rational as rational
 
     real, calls = rational.solve, []
@@ -164,7 +165,7 @@ def _skip_where(monkeypatch, fails):
     def patched(reduced, opts):
         calls.append(reduced.p)
         if fails(len(calls) - 1, reduced.p):
-            raise PrecisionUnsupportedError("forced skip")
+            raise error("forced skip")
         return real(reduced, opts)
 
     monkeypatch.setattr(rational, "solve", patched)
@@ -184,6 +185,58 @@ def test_a_skipped_prime_is_replaced_below_the_budget(monkeypatch):
     assert solved[:3] == list(budget.primes[1:])
     assert all(is_prime(q) and q < budget.primes[-1] for q in solved[3:])
     assert report.value == expected
+
+
+def test_a_prime_whose_solve_finds_no_certificate_is_skipped(monkeypatch):
+    # NcRankGapError is the sampling error solve raises (over a tiny field every
+    # point can fall short); on the budget's first prime it is skipped and replaced
+    inst = gen_integer(4, 2, seed=3, entry_bound=2, cost_range=(-20, 20))
+    budget = prime_budget(inst.n, inst.entry_bound)
+    expected = solve_rational(inst, SolveOptions(seed=1))
+    _skip_where(monkeypatch, lambda idx, p: p == budget.primes[0], NcRankGapError)
+    report = solve_rational_report(inst, SolveOptions(seed=1))
+    skipped = [o for o in report.outcomes if o.skipped]
+    assert [o.prime for o in skipped] == [budget.primes[0]]
+    assert skipped[0].value is None and skipped[0].reason == "NcRankGapError: forced skip"
+    solved = [o.prime for o in report.outcomes if not o.skipped]
+    assert solved[:3] == list(budget.primes[1:]) and solved[3] < budget.primes[-1]
+    assert math.prod(solved) >= 2**budget.ell
+    assert report.value == expected
+
+
+def test_miller_rabin_runs_once_per_distinct_prime(monkeypatch):
+    # every Miller-Rabin run starts with the witness 2, pow(2, d, n); the primes of
+    # the walk are remembered, so reducing modulo them tests none again
+    import degdet.field_linalg as field_linalg
+
+    runs = Counter()
+
+    def counted(a, d, n):
+        runs[n] += a == 2
+        return pow(a, d, n)
+
+    monkeypatch.setattr(field_linalg, "pow", counted, raising=False)
+    monkeypatch.setattr(field_linalg, "_PROVEN", {})
+    reports = [solve_rational_report(gen_integer(5, 6, s, 10, (-10**6, 10**6)))
+               for s in (7, 1)]
+    primes = {o.prime for report in reports for o in report.outcomes}
+    assert primes == set(prime_budget(5, 10).primes)
+    assert all(runs[p] == 1 for p in primes)
+    assert max(runs.values()) == 1
+
+
+def test_remembered_primes_are_bounded_and_never_composite(monkeypatch):
+    import degdet.field_linalg as field_linalg
+
+    monkeypatch.setattr(field_linalg, "_PROVEN", {})
+    primes = first_primes(1100)
+    assert all(is_prime(q) for q in primes) and not any(is_prime(q * q) for q in primes)
+    # trial division answers the primes up to 37, so only the Miller-Rabin ones
+    # are remembered, the last 1024 of them, oldest first
+    assert list(field_linalg._PROVEN) == primes[-1024:]
+    for other in (float(primes[-1]), np.int64(primes[-1])):  # still refused, as by pow
+        with pytest.raises(TypeError):
+            is_prime(other)
 
 
 @pytest.mark.parametrize("fails", [lambda idx, p: idx % 2 == 0, lambda idx, p: idx > 0],

@@ -127,6 +127,24 @@ def test_integer_n5_solve_stays_under_5_oracle_calls(monkeypatch):
     assert calls["leading"] <= 4 and calls["pencils"] < report.phases
 
 
+def test_a_quiet_runs_time_is_split_evenly_over_its_phases(monkeypatch):
+    # on a clock that ticks once per read, each run of quiet phases (0 calls,
+    # one closed-form update between two phases that descend) takes one tick
+    import itertools
+    from types import SimpleNamespace
+
+    import degdet.solver as solver
+
+    ticks = itertools.count()
+    monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    inst = gen_integer(5, 6, 0, 3, (-2**40, 2**40)).reduce_mod(2**31 - 1)
+    report = solve(inst)
+    runs = [list(group) for quiet, group in itertools.groupby(
+        zip(report.iterations, report.phase_seconds), key=lambda pair: pair[0] == 0) if quiet]
+    assert sum(map(len, runs)) > 30 and len(runs) > 1
+    assert all(seconds == 1 / len(run) for run in runs for _, seconds in run)
+
+
 def test_phase_zero_seconds_hold_the_singularity_call(monkeypatch):
     import time
 
