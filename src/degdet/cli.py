@@ -20,10 +20,10 @@ import numpy as np
 from . import instances, nconvex, oracles, partitioned, rational
 from .errors import DegDetError, ExtractionFailedError
 from .field_linalg import DEFAULT_PRIME, PrimeModulus, mod_nullspace, mod_rref
-from .infinity import is_minus_infinity
+from .infinity import MINUS_INFINITY, is_minus_infinity
 from .instances import Instance, IntegerInstance, PartitionedInstance
 from .ncrank import ConstPencil, solve_R
-from .solver import SolveOptions, solve_with_final_pencil
+from .solver import SolveOptions, SolveReport, solve_with_final_pencil
 
 EXIT_OK = 0
 EXIT_SOLVER_ERROR = 1
@@ -156,7 +156,11 @@ def _solve_any(inst, opts: SolveOptions) -> dict:
                 for o in rep.outcomes],
         }
     else:
-        rep, pencil = solve_with_final_pencil(_as_field_instance(inst), opts)
+        if isinstance(inst, PartitionedInstance) and not inst.edges():
+            # no nonzero block: the zero matrix, as solve_and_extract answers it
+            rep, pencil = SolveReport(MINUS_INFINITY, (), (), 0, 0, 0), None
+        else:
+            rep, pencil = solve_with_final_pencil(_as_field_instance(inst), opts)
         witness = rep.singular_certificate
         body = {
             "mode": "field",
@@ -244,14 +248,13 @@ def cmd_run(args) -> int:
     try:
         report.update(_solve_any(inst, _solve_options(args)))
         if args.command == "verify":
-            comparisons = []
+            report["oracles"] = comparisons = []  # an oracle's error keeps those before it
             for name in names:
                 value = _jsonable_value(_oracle_value(name, inst, args.seed + 1))
                 agree = value == report["value"]
                 if not agree:
                     code = EXIT_DISAGREE
                 comparisons.append({"oracle": name, "value": value, "agree": agree})
-            report["oracles"] = comparisons
     except DegDetError as exc:
         report["error"] = type(exc).__name__
         report["message"] = str(exc)

@@ -7,22 +7,27 @@ by t^-1, accumulating n - r - s into the running degree count D*.
 
 One driver runs phases theta = 0..N on the costs c_k (shifted to be >= 1)
 scaled down by 2^N: A_k starts at degree ceil(c_k / 2^N) - max_j ceil(c_j /
-2^N) and D* at n max_j ceil(c_j / 2^N).  Between phases the scaled costs
+2^N) and D* at n max_j ceil(c_j / 2^N), j over the live terms (those with
+entries; no other term can change deg Det).  Between phases the scaled costs
 double (minus an occasional 1 per variable), realized on the pencil as
-B_k(t^2), optionally times t^-1, with D* doubling.  With scaling
-N = ceil(log2 max c), so phase 0 starts on the constant pencil; the
-pseudo-polynomial mode is N = 0, one phase on the unscaled costs.
+B_k(t^2), optionally times t^-1, with D* doubling.  With scaling N =
+ceil(log2 max c): phase 0 is the constant pencil at degree 0, which the
+singularity certificate ends.  The pseudo-polynomial mode is N = 0.
 
 No oracle call is made whose answer the degrees alone decide; a call on a
 pencil certified earlier in the solve still runs, so a later phase can
-recompute an earlier phase's answer.  An all-zero leading pencil is shifted
-by -max degree in one move.  Between phases the degree-0 entries of term k
-go to -b_k, b_k in {0, 1}, entries at degree <= -1 stay there, and truncation
-keeps their order; where b_k is one value b on the last certified leading
-pencil's terms, the phase is quiet: shifted by b, that pencil leads again and
-its certificate ends the phase with 0 calls.  A run of L quiet phases moves
-only the degrees, d_L = 2^L d_0 - sum_j 2^(L-j) (odd_j - b_j) (see _descend).
-A skipped call counts 0 but keeps its random draw, so other calls keep seeds.
+recompute an earlier phase's answer.  No leading pencil is empty: phase 0's
+holds the top live terms, a phase that descends keeps K's bit-0 terms at
+degree 0 (K, the last certified leading pencil's terms), and a step by an
+optimal certificate (S, T, r, s) of a nonempty B cannot leave S B T only in
+its lower-left block, or (r, n) and (n, s) would be zero blocks too, forcing
+r = s = n and B = 0.  Between phases the degree-0 entries of term k go to -b_k,
+b_k in {0, 1}, entries at degree <= -1 stay there, and truncation keeps their
+order; where b_k is one value b on K, the phase is quiet: shifted by b, that
+pencil leads again and its certificate ends the phase with 0 calls.  A run of
+L quiet phases moves only the degrees, d_L = 2^L d_0 - sum_j 2^(L-j)
+(odd_j - b_j) (see _descend).  A skipped call counts 0 but keeps its random
+draw, so other calls keep seeds.
 
 With scaling enabled every phase provably needs at most n^2 m + 1 oracle
 calls, and coefficients deeper than 2 n^2 m can never influence the output;
@@ -123,39 +128,18 @@ def normalize_costs(costs: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(int(c) + b for c in costs), b
 
 
-def _ceil_div(a: int, d: int) -> int:
-    return -(-a // d)
-
-
-def _run_phase(pencil: LaurentPencil, dstar: int, rng: np.random.Generator, lim: _Limits,
-               first: Certificate | None = None) -> tuple[LaurentPencil, int, int, np.ndarray]:
-    """Descent until the leading pencil certifies optimum n.
+def _run_phase(pencil: LaurentPencil, dstar: int, rng: np.random.Generator, lim: _Limits
+               ) -> tuple[LaurentPencil, int, int, np.ndarray]:
+    """Descent until the leading pencil, nonempty in a solve, certifies optimum n.
 
     Returns the pencil, D*, the oracle calls and the sorted terms of the
-    terminating leading pencil.  `first`, the certificate of a pencil all at
-    degree 0 (phase 0 with scaling), answers the first call, which counts but
-    draws no seed; a later phase starts on a strict subset of the last
-    certified leading pencil (quiet ones never run here, see _descend).  A
-    leading pencil with no entries is shifted by k = -max degree in one move,
-    counting none of the k calls, which could only answer (I, I, n, n), but
-    drawing their seeds.  A phase whose `lim.bound`-th oracle call does not
-    certify optimum n raises IterationBoundExceededError.
+    terminating leading pencil.  A phase whose `lim.bound`-th oracle call does
+    not certify optimum n raises IterationBoundExceededError.
     """
     n, calls = pencil.n, 0
     while True:
-        if first is not None:
-            lead, cert, first = pencil, first, None
-        else:
-            lead = leading(pencil)
-            if not lead.term.size and pencil.term.size:
-                k = -int(pencil.degree.max())
-                rng.integers(0, 2**63, size=k)
-                if lim.depth is not None:  # what the first of the k steps' truncations keeps
-                    pencil = truncate(pencil, lim.depth + 1)
-                pencil = pencil._redegree(pencil.degree + k)
-                dstar -= n * k
-                continue
-            cert = solve_R(lead, int(rng.integers(0, 2**63)))
+        lead = leading(pencil)
+        cert = solve_R(lead, int(rng.integers(0, 2**63)))
         calls += 1
         if cert.value == n:
             terms = np.flatnonzero(np.bincount(lead.term, minlength=pencil.m))
@@ -171,7 +155,11 @@ def _run_phase(pencil: LaurentPencil, dstar: int, rng: np.random.Generator, lim:
 
 def run_phase(pencil: LaurentPencil, dstar: int, opts: SolveOptions | None = None
               ) -> tuple[LaurentPencil, int, int]:
-    """One descent phase on an explicit pencil (test / driver entry point)."""
+    """One descent phase on an explicit pencil (test / driver entry point).
+
+    A hand-built pencil may lack degree-0 entries, unlike a solve's: each
+    missing degree costs one oracle call, (I, I, n, n), raising every degree by 1.
+    """
     opts = opts or SolveOptions()
     rng = np.random.default_rng(opts.seed)
     # the no-scaling cap of a solve whose cost-1 term sits at the lowest degree
@@ -196,8 +184,8 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
 
     The certificate of the instance's constant pencil `inst.pencil` decides
     singularity, and every phase-0 entry array is one of its arrays.  With
-    scaling phase 0 is that pencil, whose one oracle call the certificate
-    answers; without scaling it is an extra call, not counted in
+    scaling phase 0 is that pencil at degree 0, so the certificate ends it and
+    is its one call; without scaling it is an extra call, not counted in
     `oracle_calls` nor in `phase_seconds[0]`, which with scaling includes
     it.  Every oracle call is answered by a verified certificate or raises
     NcRankGapError.
@@ -207,7 +195,9 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
     rng.integers(0, 2**63)  # unused draw: keeps the scaling path's seeds as in 0.1.0
     shifted, b = normalize_costs(inst.costs)
-    lim = _limits(opts, n, inst.m, max(shifted))
+    live = np.flatnonzero(np.bincount(inst.pencil.term, minlength=inst.m))
+    cmax = max((shifted[k] for k in live.tolist()), default=1)  # of the terms with entries
+    lim = _limits(opts, n, inst.m, cmax)
 
     pencil = witness = None
     done: list[tuple[int, int, float]] = []  # (D*, oracle calls, seconds) per phase
@@ -217,7 +207,7 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
         value, witness = MINUS_INFINITY, cert
     else:
         t0 = t0 if opts.scaling_enabled else time.perf_counter()  # only then is it phase 0
-        pencil, done = _descend(inst.pencil, shifted, opts, rng, lim, cert, t0)
+        pencil, done = _descend(inst.pencil, shifted, cmax, live, opts, rng, lim, t0)
         value = done[-1][0] - n * b
     dstars, calls, seconds = zip(*done) if done else ((), (), ())
     report = SolveReport(value, dstars, calls, len(done), sum(calls), b,
@@ -225,42 +215,42 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
     return report, pencil
 
 
-def _descend(const: ConstPencil, shifted: tuple[int, ...], opts: SolveOptions,
-             rng: np.random.Generator, lim: _Limits, cert: Certificate, t0: float
+def _descend(const: ConstPencil, shifted: tuple[int, ...], cmax: int, live: np.ndarray,
+             opts: SolveOptions, rng: np.random.Generator, lim: _Limits, t0: float
              ) -> tuple[LaurentPencil, list[tuple[int, int, float]]]:
     """Phases theta = 0..N on the costs scaled by 2^-N (see the module docstring).
 
     Returns the final pencil and (D*, oracle calls, seconds) per phase, phase
-    0's counted from t0; with scaling `cert` answers phase 0, `const` at
-    degree 0.  Phase theta >= 1 maps B_k(t) to B_k(t^2) t^-odd[theta, k] on
-    the degree array alone, d <- 2d - o, o = odd[theta, term], with a
-    pencil's -2^61 check and truncation.  K, the last certified leading
-    pencil's terms, changes only when a phase descends, so the quiet run ahead
-    (phases j = 1..L with odd[theta + j, K] one value b_j, added after the
-    map) ends at d_L = 2^L d_0 - sum_j 2^(L-j) (o_j - b_j), which _advance
-    computes at once.  Degree-0 entries are in K and stay at 0, and one at d
-    <= -1 stays there (2d - o + b <= -1), so that pencil leads the run.  An
-    entry phase j drops (d_j - b_j <= -depth) has d_{j+1} - b_{j+1} <= 2 - 2
-    depth <= -depth, as depth >= 2 n^2 m >= 2, so one mask after the run keeps
-    the same entries in the same order.  1 - d at most doubles per phase, so
-    with L capped at 2^L (1 - min d_0) <= 2^60 no -2^61 check can fire; near
-    the floor a run is one phase.  A run draws its sum_j (1 + b_j) seeds at
-    once, the same stream, and records D* <- 2 D* - n b_j, 0 calls and an even
-    time share per phase.
+    0's counted from t0; `cmax` is the `live` terms' largest cost, and with
+    scaling the singularity certificate ends phase 0 (n top, 1 call, K =
+    live).  Phase theta >= 1 maps B_k(t) to B_k(t^2) t^-odd[theta, k] on the
+    degree array alone, d <- 2d - o, o = odd[theta, term], with a pencil's
+    -2^61 check and truncation.  K, the last certified leading pencil's terms,
+    changes only when a phase descends, so the quiet run ahead (phases j =
+    1..L with odd[theta + j, K] one value b_j, added after the map) ends at
+    d_L = 2^L d_0 - sum_j 2^(L-j) (o_j - b_j), which _advance computes at
+    once.  Degree-0 entries are in K and stay at 0, and one at d <= -1 stays
+    there (2d - o + b <= -1), so that pencil leads the run.  An entry phase j
+    drops (d_j - b_j <= -depth) has d_{j+1} - b_{j+1} <= 2 - 2 depth <=
+    -depth, as depth >= 2 n^2 m >= 2, so one mask after the run keeps the same
+    entries in the same order.  1 - d at most doubles per phase, so with L
+    capped at 2^L (1 - min d_0) <= 2^60 no -2^61 check can fire; near the
+    floor a run is one phase.  A run draws its sum_j (1 + b_j) seeds at once,
+    the same stream, and records D* <- 2 D* - n b_j, 0 calls and an even time
+    share per phase.
     """
     n, m = const.n, const.m
-    cmax = max(shifted)
     N = (cmax - 1).bit_length() if opts.scaling_enabled else 0  # ceil(log2 cmax) for cmax >= 1
     scale = 1 << N
-    top = _ceil_div(cmax, scale)
-    degree = np.array([_ceil_div(c, scale) - top for c in shifted], dtype=np.int64)
+    top = -(-cmax // scale)  # ceil(cmax / scale); terms without entries clamp to degree 0
+    degree = np.array([min(-(-c // scale) - top, 0) for c in shifted], dtype=np.int64)
     pencil = LaurentPencil._wrap(const.p, n, m, const.term, degree[const.term],
                                  const.row, const.col, const.value)
-    pencil, dstar, calls, K = _run_phase(pencil, n * top, rng, lim,
-                                         cert if opts.scaling_enabled else None)
+    pencil, dstar, calls, K = ((pencil, n * top, 1, live) if opts.scaling_enabled
+                               else _run_phase(pencil, n * top, rng, lim))
     done = [(dstar, calls, time.perf_counter() - t0)]
     # odd[theta, k] = ceil(c_k / 2^(N - theta)) mod 2 = 1 - bit N - theta of c_k - 1, read
-    # exactly off its bytes (with scaling c_k - 1 < scale; without, only row 0, unused, exists)
+    # exactly off its bytes (with scaling a live c_k - 1 < scale; without, only row 0 exists)
     raw = b"".join(((c - 1) % scale).to_bytes(N // 8 + 1, "little") for c in shifted)
     odd = 1 - np.unpackbits(np.frombuffer(raw, np.uint8).reshape(m, -1), axis=1,
                             bitorder="little")[:, N::-1].T

@@ -436,3 +436,28 @@ def test_verify_hungarian_on_a_dense_file_is_a_solver_error(capsys, tmp_path):
     code, out = run_cli(capsys, "verify", str(path), "--oracle", "hungarian")
     report = json.loads(out)
     assert code == 1 and "not bipartite-shaped" in report["message"]
+
+
+def test_verify_keeps_the_comparisons_made_before_an_oracle_error(capsys, tmp_path):
+    # newton is capped at n = 7: its SizeLimitError exits 1, and hungarian's
+    # agreeing comparison, made first, stays in the report
+    path, _ = gen_file(capsys, tmp_path, "bipartite", "--n", "8", "--seed", "1")
+    code, out = run_cli(capsys, "verify", str(path), "--oracle", "hungarian,newton")
+    report = json.loads(out)
+    assert code == 1 and report["error"] == "SizeLimitError"
+    assert report["oracles"] == [{"oracle": "hungarian", "value": report["value"], "agree": True}]
+
+
+def test_a_partitioned_file_without_a_nonzero_block_solves_to_minus_infinity(capsys, tmp_path):
+    part = instances.gen_2x2(2, seed=1, rank_profile=[[0, 0], [0, 0]])
+    assert partitioned.solve_and_extract(part) == (partitioned.MINUS_INFINITY, None)
+    path = tmp_path / "zero.json"
+    path.write_bytes(instances.save(part))
+    code, out = run_cli(capsys, "solve", str(path))
+    report = json.loads(out)
+    assert code == 0 and report["mode"] == "partitioned"
+    assert report["value"] == "-inf" and report["two_matching"] is None
+    code, out = run_cli(capsys, "verify", str(path), "--oracle", "enumerate2x2")
+    report = json.loads(out)
+    assert code == 0 and report["value"] == "-inf"
+    assert report["oracles"] == [{"oracle": "enumerate2x2", "value": "-inf", "agree": True}]

@@ -12,8 +12,10 @@ import hashlib
 import json
 from collections import Counter
 
-from degdet import (SolveOptions, gen_bipartite, gen_dense, gen_integer, gen_rank1,
-                    prime_budget, random_bipartite_weights, solve_with_final_pencil)
+import numpy as np
+
+from degdet import (Instance, SolveOptions, gen_bipartite, gen_dense, gen_integer, gen_rank1,
+                    prime_budget, random_bipartite_weights, solve, solve_with_final_pencil)
 from degdet.errors import DegDetError
 
 OPTIONS = {"default": {}, "notrunc": {"truncation_enabled": False},
@@ -105,3 +107,27 @@ def test_quiet_run_oracle_seeds_match_their_pinned_digest(monkeypatch):
     records(quiet_corpus)
     assert len(seeds) == 615
     assert digest(seeds) == "3da890d579917cbc3459104fb648055213dece3a87f7232cec49f9c827d42d4c"
+
+
+def test_every_oracle_call_gets_a_nonempty_pencil(monkeypatch):
+    # no leading pencil of a solve is empty (see the solver docstring): not in
+    # either pinned corpus, nor where the top cost sits on a term without
+    # entries, which sets no cost scale, at any gap and in either mode
+    import degdet.solver as solver
+
+    sizes, real = [], solver.solve_R
+
+    def recorded(pencil, seed):
+        sizes.append(pencil.term.size)
+        return real(pencil, seed)
+
+    monkeypatch.setattr(solver, "solve_R", recorded)
+    records()
+    records(quiet_corpus)
+    mats = [np.zeros((2, 2), dtype=int), np.eye(2, dtype=int)]
+    for gap in (10**3, 10**10, 2**61 + 5):
+        for scaling in (True, False):
+            report = solve(Instance.from_arrays(2**31 - 1, mats, [gap, 0]),
+                           SolveOptions(scaling_enabled=scaling, truncation_enabled=False))
+            assert (report.value, report.phases, report.oracle_calls) == (0, 1, 1)
+    assert len(sizes) > 1000 and min(sizes) > 0

@@ -45,31 +45,35 @@ def test_run_phase_bipartite_two_steps():
     assert final.value == 2
 
 
-def test_run_phase_shifts_an_all_zero_leading_pencil_in_one_move(monkeypatch):
-    # max degree -3: the phase makes the three (I, I, n, n) steps at once and
-    # only then calls the oracle, on the identity that ends the phase; the
-    # first step's truncation at depth 2 n^2 m = 16 drops the degree -17 entry
+def test_run_phase_steps_once_per_missing_degree_of_a_hand_built_pencil(monkeypatch):
+    # max degree -3: three oracle calls on the empty leading pencil answer
+    # (I, I, n, n), each raising every degree by 1 (each step's truncation at
+    # depth 2 n^2 m = 16 keeps what it keeps), then the identity ends the phase
     import degdet.solver as solver
     from degdet.laurent import step_update, truncate
 
     t1 = LaurentMatrix(P, 2, {-3: np.eye(2, dtype=int), -5: [[0, 4], [0, 0]]})
     t2 = LaurentMatrix(P, 2, {-4: [[0, 0], [3, 0]], -17: [[0, 0], [0, 6]]})
     pen = LaurentPencil.from_terms(P, 2, (t1, t2))
-    leads = []
+    leads, certs = [], []
 
     def recorded(pencil, seed):
         leads.append(pencil.term.size)
-        return solve_R(pencil, seed)
+        certs.append(solve_R(pencil, seed))
+        return certs[-1]
 
     monkeypatch.setattr(solver, "solve_R", recorded)
     out, dstar, iters = run_phase(pen, 10, SolveOptions(seed=0))
     ident = np.eye(2, dtype=pen.value.dtype)
+    for cert in certs[:3]:
+        assert (cert.r, cert.s) == (2, 2)
+        assert np.array_equal(cert.S, ident) and np.array_equal(cert.T, ident)
     want = pen
     for _ in range(3):
         want = truncate(step_update(want, ident, ident, 2, 2), 16)
     for field in ("term", "degree", "row", "col", "value"):
         assert np.array_equal(getattr(out, field), getattr(want, field)), field
-    assert (dstar, iters, leads) == (10 - 3 * 2, 1, [2])
+    assert (dstar, iters, leads) == (10 - 3 * 2, 4, [0, 0, 0, 2])
 
 
 def test_skipped_oracle_calls_keep_their_draws():
@@ -316,8 +320,8 @@ def test_reproducible_reports():
 def test_phase_raises_at_its_bound(monkeypatch, scaling):
     # an oracle whose certificate (I, I, r=0, s=0) never lets the phase end:
     # the phase raises after exactly its bound of calls, n^2 m + 1 with
-    # scaling and the n cmax + n + 10 cap without; without scaling the
-    # singularity certificate is one more call
+    # scaling (in phase 1, as the singularity certificate ends phase 0) and
+    # the n cmax + n + 10 cap without; the singularity call is one more
     import degdet.solver as solver
 
     inst = gen_bipartite([[0, 3], [5, 0]])
@@ -332,7 +336,7 @@ def test_phase_raises_at_its_bound(monkeypatch, scaling):
     monkeypatch.setattr(solver, "solve_R", stuck)
     with pytest.raises(IterationBoundExceededError):
         solve(inst, SolveOptions(seed=0, scaling_enabled=scaling))
-    expected = n * n * m + 1 if scaling else n * cmax + n + 10 + 1
+    expected = (n * n * m + 1 if scaling else n * cmax + n + 10) + 1
     assert len(calls) == expected
 
 
