@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -134,8 +135,18 @@ class IntegerInstance(_ArrayFields):
         return max(1, int(abs(self.mats).max()), recorded)
 
     def reduce_mod(self, p: int) -> Instance:
-        return Instance.from_arrays(p, self.mats, self.costs,
+        return Instance.from_arrays(p, self._words, self.costs,
                                     {**self.meta, "reduced_mod": p})
+
+    @cached_property
+    def _words(self) -> np.ndarray:
+        """`mats` as read-only int64 when every entry fits, which reduces mod p
+        several times faster than Python ints; else `mats` itself."""
+        if int(abs(self.mats).max()) >= 2**63:
+            return self.mats
+        words = self.mats.astype(np.int64)
+        words.flags.writeable = False
+        return words
 
 
 @dataclass(frozen=True, eq=False)

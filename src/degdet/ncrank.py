@@ -32,6 +32,15 @@ formed: its columns are independent and every span it feeds is reduced
 anyway, so U is reduced once, after the loop, to build T.  The first r
 rows of S are read off the last step's reduction of the columns B_k u.
 
+When every term holds at most one entry, as on bipartite instances (the
+generic matrix of a graph, whose certificates are permutations; König
+1931), the d = 1 sequence runs on supports: sum_k B_k U is span(e_I) for
+the rows I of the entries whose column lies in supp U, so each step reads
+E[:, I] and eliminates nothing, and the trapped limit is spanned by unit
+vectors, which S and T are made of.  The sample and its one reduction
+stay, so every draw and every certificate is the one the span sequence
+gives.  Blow-up points and pencils with denser terms run on spans.
+
 A point whose sequence escapes has rank below the maximum at its blow-up
 order: if W* leaves im A, then rank A < d nc-rank (Ivanyos, Karpinski, Qiao
 and Santha 2015), so no later point of that rank can trap the sequence.
@@ -168,6 +177,65 @@ def _wong_certificate(pencil: ConstPencil, reduced: tuple, d: int = 1) -> Certif
     """Try to build a certificate from ``reduced = mod_rref(A, p, transform=True)``,
     A a point of the pencil's d-fold blow-up (:func:`substituted_blowup`).
 
+    At d = 1 a pencil whose terms hold one entry each runs the sequence on
+    supports (:func:`_support_certificate`); every other pencil, and every
+    blow-up point, runs it on spans (:func:`_span_certificate`).  Both give
+    the same escapes and the same certificates.
+    """
+    counts = np.bincount(pencil.term, minlength=pencil.m)
+    if d == 1 and counts.max() <= 1:
+        return _support_certificate(pencil, reduced)
+    return _span_certificate(pencil, reduced, d, counts)
+
+
+def _support_certificate(pencil: ConstPencil, reduced: tuple) -> Certificate | None:
+    """:func:`_span_certificate` at d = 1 for a pencil whose terms hold one
+    entry each, run on index sets without any elimination.
+
+    A single-entry term B_k = v_k e_i e_j^T maps U onto span(e_i) when row j
+    of U is nonzero and onto 0 otherwise, so sum_k B_k U = span(e_I), I the
+    rows of the entries whose column lies in J = supp U.  The sequence is
+    then W = span(e_I), and A^-1(W) = ker A + X_W with X_W = E[:rho, I] at
+    A's pivot rows; W escapes im A exactly when E[rho:, I] is nonzero.
+
+    span(e_J) contains U and has the same image, so its discrepancy
+    dim - dim sum_k B_k (.) is at least U's.  A U of maximum discrepancy
+    therefore has dim U = |J| and is span(e_J): it is spanned by unit
+    vectors.  A trapped limit U* = A^-1(W*) has the maximum, n - rho, so
+    no span is eliminated and U* is not reduced: T's last s = |J| columns
+    are the e_j, j in J, and S's first r = n - |I| rows the e_i, i not in I,
+    the unit vectors that the reductions of :func:`_span_certificate` return.
+    The field plays no part beyond E, so the path is exact on any GF(p).
+
+    Verified as there: rho = 2n - r - s, and no entry has its row outside I
+    and its column in J (the zero block S[:r] B_k T[:, n-s:]).
+    """
+    n = pencil.n
+    R, E, rho, pivots = reduced
+    base = np.any(_rref_kernel(R, pivots, pencil.p) != 0, axis=1)  # supp ker A
+    I, J = np.zeros(n, dtype=bool), base
+    while True:
+        grown = np.zeros(n, dtype=bool)
+        grown[pencil.row[J[pencil.col]]] = True
+        if grown.sum() == I.sum():  # the sequence is monotone: nothing new
+            break
+        I, EI = grown, E[:, grown] != 0
+        if EI[rho:].any():  # W escapes im A
+            return None
+        J = base.copy()
+        J[list(pivots)] |= EI[:rho].any(axis=1)  # supp [ker A | X_W]
+    eye = np.eye(n, dtype=pencil.value.dtype)
+    left, U = eye[:, ~I], eye[:, J]
+    if 2 * n - left.shape[1] - U.shape[1] != rho or np.any(~I[pencil.row] & J[pencil.col]):
+        raise AssertionError("constructed certificate failed verification")
+    return _completed(left, U, rho)
+
+
+def _span_certificate(pencil: ConstPencil, reduced: tuple, d: int,
+                      counts: np.ndarray) -> Certificate | None:
+    """The second Wong sequence on spans at a point A of the d-fold blow-up;
+    `counts` holds the pencil's entries per term.
+
     With E A = R of rank rho, every step reads A^-1(W) = ker A + X_W off
     that one reduction: X_W holds (E W)[:rho] at A's pivot rows, and W
     escapes im A, returning None, exactly when (E W)[rho:] is nonzero.  The
@@ -191,7 +259,7 @@ def _wong_certificate(pencil: ConstPencil, reduced: tuple, d: int = 1) -> Certif
     invertible by construction, through :func:`_unit_completion`.
     """
     p, n = pencil.p, pencil.n
-    live = np.cumsum(np.bincount(pencil.term, minlength=pencil.m) > 0)  # live terms up to k
+    live = np.cumsum(counts > 0)  # live terms up to k
     lives, slot = int(live[-1]), live[pencil.term] - 1  # each entry's index among them
     R, E, rho, pivots = reduced
     kernel = _rref_kernel(R, pivots, p)
@@ -224,13 +292,18 @@ def _wong_certificate(pencil: ConstPencil, reduced: tuple, d: int = 1) -> Certif
         U = mod_column_space(U, p)  # T needs the reduced basis of A^-1(W)
     # S: first r rows annihilate sum_k B_k U;  T: last s columns span U
     left = _rref_kernel(RW[:dim], wpivots, p)  # columns x with x . w = 0 for w in the span
-    r, s = left.shape[1], U.shape[1]
-    if d * (2 * n - r - s) != rho or np.any(mod_matmul(left.T, flat, p)):
+    if d * (2 * n - left.shape[1] - U.shape[1]) != rho or np.any(mod_matmul(left.T, flat, p)):
         raise AssertionError("constructed certificate failed verification")
+    return _completed(left, U, rho // d)
+
+
+def _completed(left: np.ndarray, U: np.ndarray, value: int) -> Certificate:
+    """The certificate whose S has first rows left^T and T last columns U, both
+    completed by unit vectors: invertible by construction."""
     S = np.concatenate([left, _unit_completion(left, last=True)], axis=1).T
     T = np.concatenate([_unit_completion(U), U], axis=1)
     S.flags.writeable = T.flags.writeable = False
-    return Certificate(S, T, r, s, rho // d)
+    return Certificate(S, T, left.shape[1], U.shape[1], value)
 
 
 def solve_R(pencil: ConstPencil, seed: int) -> Certificate:

@@ -5,10 +5,10 @@ plain descent loop: solve (R) for the leading pencil, and while the optimum
 is below n, lift the certified rows by t and drop the complementary columns
 by t^-1, accumulating n - r - s into the running degree count D*.
 
-One driver runs phases theta = 0..N on the costs c_k (shifted to be >= 1)
-scaled down by 2^N: A_k starts at degree ceil(c_k / 2^N) - max_j ceil(c_j /
-2^N) and D* at n max_j ceil(c_j / 2^N), j over the live terms (those with
-entries; no other term can change deg Det).  Between phases the scaled costs
+One driver runs phases theta = 0..N on the costs c_k (shifted so that the
+live terms' are >= 1) scaled down by 2^N: A_k starts at degree ceil(c_k /
+2^N) - max_j ceil(c_j / 2^N) and D* at n max_j ceil(c_j / 2^N), j over the
+live terms (those with entries; no other term can change deg Det).  Between phases the scaled costs
 double (minus an occasional 1 per variable), realized on the pencil as
 B_k(t^2), optionally times t^-1, with D* doubling.  With scaling N =
 ceil(log2 max c): phase 0 is the constant pencil at degree 0, which the
@@ -122,9 +122,13 @@ def _limits(opts: SolveOptions, n: int, m: int, cmax: int) -> _Limits:
     return _Limits(depth, bound)
 
 
-def normalize_costs(costs: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Shift costs to be >= 1; deg Det recovers as value(shifted) - n*b."""
-    b = max(0, 1 - min(costs))
+def normalize_costs(costs: Sequence[int], live: Sequence[int] | None = None
+                    ) -> tuple[tuple[int, ...], int]:
+    """Shift costs by b so the `live` terms' costs (all by default) are >= 1;
+    deg Det recovers as value(shifted) - n*b.  :func:`solve` passes the terms
+    with entries: no other term can change deg Det, and its degree clamps to 0."""
+    pool = costs if live is None else [costs[k] for k in live]
+    b = max(0, 1 - int(min(pool, default=1)))
     return tuple(int(c) + b for c in costs), b
 
 
@@ -194,8 +198,8 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
     n = inst.n
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
     rng.integers(0, 2**63)  # unused draw: keeps the scaling path's seeds as in 0.1.0
-    shifted, b = normalize_costs(inst.costs)
     live = np.flatnonzero(np.bincount(inst.pencil.term, minlength=inst.m))
+    shifted, b = normalize_costs(inst.costs, live.tolist())
     cmax = max((shifted[k] for k in live.tolist()), default=1)  # of the terms with entries
     lim = _limits(opts, n, inst.m, cmax)
 

@@ -205,6 +205,18 @@ def test_integer_instance_entry_bound():
     assert bumped.entry_bound == 100
 
 
+@pytest.mark.parametrize("top", [2**63 - 1, -(2**63 - 1), 2**63, -2**63, 3**60])
+@pytest.mark.parametrize("p", [2, 5, P, 2**61 - 1])
+def test_integer_reduce_mod_gives_the_residues_of_the_python_ints(top, p):
+    # entries that fit int64 are reduced as int64, wider ones as Python ints;
+    # either way the residues are the exact ones
+    mats = np.array([[[top, -7], [0, 10**12]], [[1, -1], [-(top // 3), 5]]], dtype=object)
+    inst = IntegerInstance(2, 2, mats, [0, 1])
+    assert (inst._words.dtype == np.int64) == (abs(top) < 2**63)
+    want = [[[int(x) % p for x in row] for row in mat] for mat in mats.tolist()]
+    assert inst.reduce_mod(p).stack.tolist() == want
+
+
 def test_partitioned_file_uses_blocks_schema():
     part = gen_2x2(2, seed=12, rank_profile=[[2, 1], [1, 2]])
     doc = json.loads(save(part))

@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import degdet.field_linalg as field_linalg
 import degdet.solver as solver
@@ -9,7 +11,8 @@ from degdet import (DEFAULT_PRIME, ConstPencil, LaurentPencil, SolveOptions, bui
                     gen_bipartite, is_nc_nonsingular, leading, solve, solve_R)
 from degdet.errors import DimensionMismatchError, NcRankGapError
 from degdet.field_linalg import mod_rank, mod_rref
-from degdet.ncrank import _wong_certificate, substituted_blowup
+from degdet.ncrank import (_span_certificate, _support_certificate, _wong_certificate,
+                           substituted_blowup)
 
 from conftest import brute_rank_mod, interleaved_pencils, unit_matrix
 
@@ -208,6 +211,39 @@ def test_wong_certificate_ignores_zero_slabs(p):
             assert (a.r, a.s, a.value) == (b.r, b.s, b.value)
 
 
+@st.composite
+def single_entry_pencils(draw):
+    """(pencil, point): terms with one entry each or none, any positions, and
+    a point drawn with many zeros so that B is often rank-deficient."""
+    p = draw(st.sampled_from([2, 3, 5, 7, P, 2**61 - 1]))  # 2^61 - 1: object residues
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    cell = st.integers(0, n - 1)
+    stack = np.zeros((m, n, n), dtype=np.int64)
+    for k in range(m):
+        entry = draw(st.none() | st.tuples(cell, cell, st.integers(1, min(p, 2**62) - 1)))
+        if entry is not None:
+            stack[k, entry[0], entry[1]] = entry[2]
+    point = draw(st.lists(st.integers(0, p - 1) | st.just(0), min_size=m, max_size=m))
+    return ConstPencil(p, stack), np.array(point, dtype=object)
+
+
+@settings(max_examples=400, deadline=None)
+@given(single_entry_pencils())
+def test_wong_on_supports_matches_wong_on_spans(case):
+    # The support path is exact on any field: it escapes exactly when the
+    # span path does and returns the same certificate, unit vectors in S and T.
+    pencil, point = case
+    reduced = mod_rref(pencil.substitute(point), pencil.p, transform=True)
+    counts = np.bincount(pencil.term, minlength=pencil.m)
+    a = _support_certificate(pencil, reduced)
+    b = _span_certificate(pencil, reduced, 1, counts)
+    assert (a is None) == (b is None)
+    if a is not None:
+        for M, N in ((a.S, b.S), (a.T, b.T)):
+            assert M.dtype == N.dtype and np.array_equal(M, N)
+        assert (a.r, a.s, a.value) == (b.r, b.s, b.value) and a.check(pencil)
+
+
 @pytest.mark.parametrize("p", [5, P, 2**61 - 1])
 def test_solve_r_on_live_terms_certifies_the_full_pencil(p):
     full, part, _ = interleaved_pencils(p, seed=p % 89)
@@ -277,18 +313,19 @@ def test_certificates_hold_readonly_square_arrays_of_the_stack_dtype(p):
             assert M.dtype == pen.stack.dtype and not M.flags.writeable
 
 
-def test_bipartite_n16_solve_stays_under_140_rref_calls(monkeypatch):
+def test_bipartite_n16_solve_reduces_only_its_sampled_points(monkeypatch):
     # Every mod_rref, by any module's name for it, on the solve of the MAC
-    # guard above.  Eliminating B once per sample, reading every preimage off
-    # that reduction, reducing U once per Wong run and reading `left` off the
-    # last span's reduction makes 136 calls here; reducing U and the span's
-    # annihilator at every step made 186, and taking each preimage by its own
-    # elimination and ranking S and T made 364.
+    # guard above.  Its leading pencils hold one entry per term, so the Wong
+    # sequence runs on supports and the only eliminations are the 54
+    # reductions E B = R of the sampled points.  Eliminating every span and
+    # reducing U once per Wong run made 136 calls here; reducing U and the
+    # span's annihilator at every step made 186, and taking each preimage by
+    # its own elimination and ranking S and T made 364.
     real, calls = field_linalg.mod_rref, []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(*args, transform=False):
+        calls.append(transform)
+        return real(*args, transform=transform)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("degdet") and getattr(module, "mod_rref", None) is real:
@@ -296,4 +333,4 @@ def test_bipartite_n16_solve_stays_under_140_rref_calls(monkeypatch):
     costs = np.random.default_rng(116).integers(-10**6, 10**6, (16, 16))
     report = solve(gen_bipartite(costs.tolist()), SolveOptions(seed=0))
     assert (report.value, report.oracle_calls) == (13260670, 54)
-    assert len(calls) <= 140, len(calls)
+    assert calls == [True] * 54, (len(calls), calls.count(True))
