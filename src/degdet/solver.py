@@ -6,11 +6,12 @@ is below n, lift the certified rows by t and drop the complementary columns
 by t^-1, accumulating n - r - s into the running degree count D*.
 
 One driver runs phases theta = 0..N on the costs c_k (shifted so that the
-live terms' are >= 1) scaled down by 2^N: A_k starts at degree ceil(c_k /
-2^N) - max_j ceil(c_j / 2^N) and D* at n max_j ceil(c_j / 2^N), j over the
-live terms (those with entries; no other term can change deg Det).  Between phases the scaled costs
-double (minus an occasional 1 per variable), realized on the pencil as
-B_k(t^2), optionally times t^-1, with D* doubling.  With scaling N =
+live terms' are >= 1, the others clamped to 1) scaled down by 2^N: A_k
+starts at degree ceil(c_k / 2^N) - max_j ceil(c_j / 2^N) and D* at n max_j
+ceil(c_j / 2^N), j over the live terms (those with entries; no other term
+can change deg Det).  Between phases the scaled costs double (minus an
+occasional 1 per variable), realized on the pencil as B_k(t^2), optionally
+times t^-1, with D* doubling.  With scaling N =
 ceil(log2 max c): phase 0 is the constant pencil at degree 0, which the
 singularity certificate ends.  The pseudo-polynomial mode is N = 0.
 
@@ -124,12 +125,13 @@ def _limits(opts: SolveOptions, n: int, m: int, cmax: int) -> _Limits:
 
 def normalize_costs(costs: Sequence[int], live: Sequence[int] | None = None
                     ) -> tuple[tuple[int, ...], int]:
-    """Shift costs by b so the `live` terms' costs (all by default) are >= 1;
-    deg Det recovers as value(shifted) - n*b.  :func:`solve` passes the terms
-    with entries: no other term can change deg Det, and its degree clamps to 0."""
+    """Shift costs by b so the `live` terms' costs (all by default) are >= 1,
+    and clamp any other term's shifted cost up to 1; deg Det recovers as
+    value(shifted) - n*b.  :func:`solve` passes the terms with entries: no
+    other term can change deg Det, and the clamp keeps its degree at 0."""
     pool = costs if live is None else [costs[k] for k in live]
     b = max(0, 1 - int(min(pool, default=1)))
-    return tuple(int(c) + b for c in costs), b
+    return tuple(max(int(c) + b, 1) for c in costs), b
 
 
 def _run_phase(pencil: LaurentPencil, dstar: int, rng: np.random.Generator, lim: _Limits

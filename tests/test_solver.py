@@ -17,14 +17,15 @@ def test_normalize_costs_examples():
     assert normalize_costs([5]) == ((5,), 0)
     assert normalize_costs([0, -3]) == ((4, 1), 4)
     assert normalize_costs([1, 1]) == ((1, 1), 0)
-    assert normalize_costs([-9, 0, 3], live=[1, 2]) == ((-8, 1, 4), 1)
-    assert normalize_costs([-9, 0], live=[]) == ((-9, 0), 0)
+    assert normalize_costs([-9, 0, 3], live=[1, 2]) == ((1, 1, 4), 1)
+    assert normalize_costs([-9, 0], live=[]) == ((1, 1), 0)
 
 
-@pytest.mark.parametrize("c0", [0, -10**3, -10**10, -2**62])
+@pytest.mark.parametrize("c0", [0, -10**3, -10**10, -2**62, -2**63, -2**70])
 def test_a_dead_terms_cost_moves_neither_the_shift_nor_the_phases(c0):
     # the shift is taken over the terms with entries: a term without any
-    # cannot change deg Det, so its cost must not widen the scaled costs
+    # cannot change deg Det, so its cost must not widen the scaled costs, and
+    # one far below the live costs must not overflow an int64 degree
     mats = [np.zeros((2, 2), dtype=int), np.eye(2, dtype=int), np.array([[0, 1], [1, 0]])]
     inst = Instance.from_arrays(P, mats, [c0, 0, 3])
     report = solve(inst)
