@@ -207,12 +207,17 @@ def _support_certificate(pencil: ConstPencil, reduced: tuple) -> Certificate | N
     the unit vectors that the reductions of :func:`_span_certificate` return.
     The field plays no part beyond E, so the path is exact on any GF(p).
 
-    Verified as there: rho = 2n - r - s, and no entry has its row outside I
-    and its column in J (the zero block S[:r] B_k T[:, n-s:]).
+    So S and T are permutation matrices, built as such.  Verified as there:
+    rho = 2n - r - s, and no entry has its row outside I and its column in J
+    (the zero block S[:r] B_k T[:, n-s:]).
     """
     n = pencil.n
     R, E, rho, pivots = reduced
-    base = np.any(_rref_kernel(R, pivots, pencil.p) != 0, axis=1)  # supp ker A
+    piv = list(pivots)
+    free = np.ones(n, dtype=bool)
+    free[piv] = False
+    base = free.copy()  # supp ker A: the free columns, and the pivot rows
+    base[piv] = R[:rho, free].any(axis=1)  # where R[:rho, free] is nonzero
     I, J = np.zeros(n, dtype=bool), base
     while True:
         grown = np.zeros(n, dtype=bool)
@@ -223,12 +228,14 @@ def _support_certificate(pencil: ConstPencil, reduced: tuple) -> Certificate | N
         if EI[rho:].any():  # W escapes im A
             return None
         J = base.copy()
-        J[list(pivots)] |= EI[:rho].any(axis=1)  # supp [ker A | X_W]
-    eye = np.eye(n, dtype=pencil.value.dtype)
-    left, U = eye[:, ~I], eye[:, J]
-    if 2 * n - left.shape[1] - U.shape[1] != rho or np.any(~I[pencil.row] & J[pencil.col]):
+        J[piv] |= EI[:rho].any(axis=1)  # supp [ker A | X_W]
+    r, s = n - int(I.sum()), int(J.sum())
+    if 2 * n - r - s != rho or np.any(~I[pencil.row] & J[pencil.col]):
         raise AssertionError("constructed certificate failed verification")
-    return _completed(left, U, rho)
+    eye = np.eye(n, dtype=pencil.value.dtype)  # S: rows not in I, then I; T: J last
+    S, T = eye[np.argsort(I, kind="stable")], eye[:, np.argsort(J, kind="stable")]
+    S.flags.writeable = T.flags.writeable = False
+    return Certificate(S, T, r, s, rho)
 
 
 def _span_certificate(pencil: ConstPencil, reduced: tuple, d: int,

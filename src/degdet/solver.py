@@ -30,12 +30,28 @@ L quiet phases moves only the degrees, d_L = 2^L d_0 - sum_j 2^(L-j)
 (odd_j - b_j) (see _descend).  A skipped call counts 0 but keeps its random
 draw, so other calls keep seeds.
 
-With scaling enabled every phase provably needs at most n^2 m + 1 oracle
-calls, and coefficients deeper than 2 n^2 m can never influence the output;
-both facts are enforced at runtime (a phase that reaches the first raises
-IterationBoundExceededError, and the second is the default truncation
-depth).  Without scaling neither holds: the one phase raises at a safety cap
-of n max c + n + 10 calls instead, and no truncation depth is accepted.
+With scaling enabled every phase provably needs at most n + 1 oracle calls,
+and coefficients at degree <= -2n can never influence the output; both facts
+are enforced at runtime (a phase whose (n + 1)-th call does not end it raises
+IterationBoundExceededError, and 2n is the default truncation depth).  The
+proof rests on the paper's polyhedral form: deg Det A = max{<c, x> : x in P}
+with P integral and inside {x >= 0, sum x = n}.
+
+- At most n steps per phase.  Phase theta + 1 has costs c' = 2c - odd, odd
+  in {0, 1}^m, so on P its optimum val' satisfies 2 val - n <= val' <= 2 val.
+  The phase starts at D* = 2 val, D* never falls below val', and every step
+  that does not end the phase lowers D* by r + s - n >= 1: at most n steps,
+  that is n + 1 calls.
+- Depth 2n is enough.  The step update is linear and S, T depend only on the
+  leading pencil, so the entries truncation drops evolve on their own.  They
+  rise by at most 1 per step, so by at most n in a phase, and the rescale
+  d -> 2d - odd doubles their depth.  An entry dropped at degree <= -2n thus
+  stays at or below -n until its phase ends and is back at or below -2n when
+  the next phase starts: it never reaches degree 0, so no leading pencil,
+  certificate or D* changes.
+
+Without scaling neither holds: the one phase raises at a safety cap of
+n max c + n + 10 calls instead, and no truncation depth is accepted.
 
 Singularity is decided by the same certificate oracle on the constant pencil
 sum_k A_k x_k before any phase runs: a verified certificate with r + s > n is
@@ -71,8 +87,8 @@ class SolveOptions:
     seed: int = 0
     scaling_enabled: bool = True
     truncation_enabled: bool = True
-    # None: 2 n^2 m with scaling, off without; with truncation on, an explicit
-    # depth needs scaling and at least 2 n^2 m (see _limits)
+    # None: 2n with scaling, off without; with truncation on, an explicit
+    # depth needs scaling and at least 2n (see _limits)
     truncation_depth: int | None = None
 
 
@@ -95,19 +111,20 @@ class _Limits(NamedTuple):
     bound: int  # oracle calls after which an unfinished phase raises
 
 
-def _limits(opts: SolveOptions, n: int, m: int, cmax: int) -> _Limits:
-    """The options resolved for an n x n, m-term pencil with largest cost cmax >= 1.
+def _limits(opts: SolveOptions, n: int, cmax: int) -> _Limits:
+    """The options resolved for an n x n pencil with largest cost cmax >= 1.
 
-    With scaling the proven per-phase bound n^2 m + 1 applies and truncation
-    defaults to depth 2 n^2 m.  Without scaling there is no truncation, the
-    phase cap is n cmax + n + 10 calls (D* falls by >= 1 per step from n cmax
-    to an optimum >= n, so reaching it means a bug), and cmax > 2^61 raises
-    SizeLimitError (pencil degrees are int64).  With truncation on, an
-    explicit depth below 2 n^2 m (zero and negative depths included), or any
-    explicit depth without scaling, could silently change the value, so it
-    raises DimensionMismatchError; with truncation off the depth is unused.
+    With scaling the proven per-phase bound n + 1 applies and truncation
+    defaults to depth 2n (see the module docstring).  Without scaling there
+    is no truncation, the phase cap is n cmax + n + 10 calls (D* falls by >= 1
+    per step from n cmax to an optimum >= n, so reaching it means a bug), and
+    cmax > 2^61 raises SizeLimitError (pencil degrees are int64).  With
+    truncation on, an explicit depth below 2n (zero and negative depths
+    included), or any explicit depth without scaling, could silently change
+    the value, so it raises DimensionMismatchError; with truncation off the
+    depth is unused.
     """
-    safe = 2 * n * n * m
+    safe = 2 * n
     depth = None
     if opts.truncation_enabled:
         depth = opts.truncation_depth
@@ -116,10 +133,10 @@ def _limits(opts: SolveOptions, n: int, m: int, cmax: int) -> _Limits:
         elif depth < safe or not opts.scaling_enabled:
             raise DimensionMismatchError(
                 f"truncation_depth={depth} is not proven safe: it needs scaling "
-                f"and a depth of at least 2 n^2 m = {safe}")
+                f"and a depth of at least 2n = {safe}")
     if not opts.scaling_enabled and cmax > 2**61:
         raise SizeLimitError(f"without scaling the costs must span at most 2^61, not {cmax}")
-    bound = n * n * m + 1 if opts.scaling_enabled else n * cmax + n + 10
+    bound = n + 1 if opts.scaling_enabled else n * cmax + n + 10
     return _Limits(depth, bound)
 
 
@@ -163,14 +180,17 @@ def run_phase(pencil: LaurentPencil, dstar: int, opts: SolveOptions | None = Non
               ) -> tuple[LaurentPencil, int, int]:
     """One descent phase on an explicit pencil (test / driver entry point).
 
-    A hand-built pencil may lack degree-0 entries, unlike a solve's: each
-    missing degree costs one oracle call, (I, I, n, n), raising every degree by 1.
+    A hand-built pencil may lack degree-0 entries, unlike a solve's: each of
+    the g missing degrees above its top one costs one oracle call, (I, I, n, n),
+    raising every degree by 1, so with scaling the phase bound is n + 1 + g.
     """
     opts = opts or SolveOptions()
     rng = np.random.default_rng(opts.seed)
     # the no-scaling cap of a solve whose cost-1 term sits at the lowest degree
     cmax = 1 - int(pencil.degree.min(initial=0))
-    lim = _limits(opts, pencil.n, pencil.m, cmax)
+    lim = _limits(opts, pencil.n, cmax)
+    if opts.scaling_enabled and pencil.degree.size:  # g = -(top degree) steps to lead
+        lim = lim._replace(bound=lim.bound + max(0, -int(pencil.degree.max())))
     return _run_phase(pencil, dstar, rng, lim)[:3]
 
 
@@ -203,7 +223,7 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
     live = np.flatnonzero(np.bincount(inst.pencil.term, minlength=inst.m))
     shifted, b = normalize_costs(inst.costs, live.tolist())
     cmax = max((shifted[k] for k in live.tolist()), default=1)  # of the terms with entries
-    lim = _limits(opts, n, inst.m, cmax)
+    lim = _limits(opts, n, cmax)
 
     pencil = witness = None
     done: list[tuple[int, int, float]] = []  # (D*, oracle calls, seconds) per phase
@@ -238,7 +258,7 @@ def _descend(const: ConstPencil, shifted: tuple[int, ...], cmax: int, live: np.n
     once.  Degree-0 entries are in K and stay at 0, and one at d <= -1 stays
     there (2d - o + b <= -1), so that pencil leads the run.  An entry phase j
     drops (d_j - b_j <= -depth) has d_{j+1} - b_{j+1} <= 2 - 2 depth <=
-    -depth, as depth >= 2 n^2 m >= 2, so one mask after the run keeps the same
+    -depth, as depth >= 2n >= 2, so one mask after the run keeps the same
     entries in the same order.  1 - d at most doubles per phase, so with L
     capped at 2^L (1 - min d_0) <= 2^60 no -2^61 check can fire; near the
     floor a run is one phase.  A run draws its sum_j (1 + b_j) seeds at once,

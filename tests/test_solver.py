@@ -62,7 +62,7 @@ def test_run_phase_bipartite_two_steps():
 def test_run_phase_steps_once_per_missing_degree_of_a_hand_built_pencil(monkeypatch):
     # max degree -3: three oracle calls on the empty leading pencil answer
     # (I, I, n, n), each raising every degree by 1 (each step's truncation at
-    # depth 2 n^2 m = 16 keeps what it keeps), then the identity ends the phase
+    # depth 2n = 4 keeps what it keeps), then the identity ends the phase
     import degdet.solver as solver
     from degdet.laurent import step_update, truncate
 
@@ -84,7 +84,7 @@ def test_run_phase_steps_once_per_missing_degree_of_a_hand_built_pencil(monkeypa
         assert np.array_equal(cert.S, ident) and np.array_equal(cert.T, ident)
     want = pen
     for _ in range(3):
-        want = truncate(step_update(want, ident, ident, 2, 2), 16)
+        want = truncate(step_update(want, ident, ident, 2, 2), 4)
     for field in ("term", "degree", "row", "col", "value"):
         assert np.array_equal(getattr(out, field), getattr(want, field)), field
     assert (dstar, iters, leads) == (10 - 3 * 2, 4, [0, 0, 0, 2])
@@ -252,7 +252,7 @@ def test_iteration_bound_holds_on_corpus():
         report = solve(inst, SolveOptions(seed=trial))
         if report.used_blowup_fallback:
             continue
-        assert all(it <= n * n * m + 1 for it in report.iterations)
+        assert all(it <= n + 1 for it in report.iterations)
 
 
 def test_scaling_vs_direct_agree():
@@ -333,13 +333,13 @@ def test_reproducible_reports():
 @pytest.mark.parametrize("scaling", [True, False], ids=["scaling", "no-scaling"])
 def test_phase_raises_at_its_bound(monkeypatch, scaling):
     # an oracle whose certificate (I, I, r=0, s=0) never lets the phase end:
-    # the phase raises after exactly its bound of calls, n^2 m + 1 with
-    # scaling (in phase 1, as the singularity certificate ends phase 0) and
-    # the n cmax + n + 10 cap without; the singularity call is one more
+    # the phase raises after exactly its bound of calls, n + 1 with scaling
+    # (in phase 1, as the singularity certificate ends phase 0) and the
+    # n cmax + n + 10 cap without; the singularity call is one more
     import degdet.solver as solver
 
     inst = gen_bipartite([[0, 3], [5, 0]])
-    n, m, cmax = inst.n, inst.m, max(normalize_costs(inst.costs)[0])
+    n, cmax = inst.n, max(normalize_costs(inst.costs)[0])
     calls = []
 
     def stuck(pencil, seed):
@@ -350,7 +350,7 @@ def test_phase_raises_at_its_bound(monkeypatch, scaling):
     monkeypatch.setattr(solver, "solve_R", stuck)
     with pytest.raises(IterationBoundExceededError):
         solve(inst, SolveOptions(seed=0, scaling_enabled=scaling))
-    expected = (n * n * m + 1 if scaling else n * cmax + n + 10) + 1
+    expected = (n + 1 if scaling else n * cmax + n + 10) + 1
     assert len(calls) == expected
 
 
