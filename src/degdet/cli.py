@@ -20,10 +20,10 @@ import numpy as np
 from . import instances, nconvex, oracles, partitioned, rational
 from .errors import DegDetError, ExtractionFailedError
 from .field_linalg import DEFAULT_PRIME, PrimeModulus, mod_nullspace, mod_rref
-from .infinity import MINUS_INFINITY, is_minus_infinity
+from .infinity import is_minus_infinity
 from .instances import Instance, IntegerInstance, PartitionedInstance
 from .ncrank import ConstPencil, solve_R
-from .solver import SolveOptions, SolveReport, solve_with_final_pencil
+from .solver import SolveOptions, solve_with_final_pencil
 
 EXIT_OK = 0
 EXIT_SOLVER_ERROR = 1
@@ -156,11 +156,7 @@ def _solve_any(inst, opts: SolveOptions) -> dict:
                 for o in rep.outcomes],
         }
     else:
-        if isinstance(inst, PartitionedInstance) and not inst.edges():
-            # no nonzero block: the zero matrix, as solve_and_extract answers it
-            rep, pencil = SolveReport(MINUS_INFINITY, (), (), 0, 0, 0), None
-        else:
-            rep, pencil = solve_with_final_pencil(_as_field_instance(inst), opts)
+        rep, pencil = solve_with_final_pencil(_as_field_instance(inst), opts)
         witness = rep.singular_certificate
         body = {
             "mode": "field",

@@ -27,10 +27,9 @@ Each sampled B is reduced once, E B = R, and so is each blow-up point A,
 which :func:`substituted_blowup` evaluates from the blow-up's entries.
 Its rank decides the full-rank exit, ker B is read off R, and each Wong
 step gets B^-1(W) and the test of W against im B from the one product E W.
-At d = 1 the sequence runs on that preimage basis [ker B | X_W] as it is
-formed: its columns are independent and every span it feeds is reduced
-anyway, so U is reduced once, after the loop, to build T.  The first r
-rows of S are read off the last step's reduction of the columns B_k u.
+Every step reduces its subspace U before forming the columns B_k u, so the
+limit's reduced basis spans T's last columns, and the first r rows of S are
+read off the last step's reduction of those columns.
 
 When every term holds at most one entry, as on bipartite instances (the
 generic matrix of a graph, whose certificates are permutations; König
@@ -249,15 +248,15 @@ def _span_certificate(pencil: ConstPencil, reduced: tuple, d: int,
     sequence is monotone, so a step that keeps the dimension adds nothing to
     check.  Every span of the blow-up is F^d (x) W' with W' = sum_k B_k U',
     U' the column space of the n-blocks of the nd-vectors in A^-1(W) (for
-    d = 1, U' is A^-1(W) itself); only the preimage works in dimension nd.
+    d = 1, A^-1(W) itself), reduced at the top of every step; only the
+    preimage works in dimension nd.
 
     A trapped limit U* = A^-1(W*) is the smallest subspace of maximum
     discrepancy, so it is fixed by GL_d (x) I and equals F^d (x) U'; U'
     proves nc-rank <= rho / d, and rank A <= d nc-rank proves the converse.
 
-    At d = 1 the sequence runs on [ker A | X_W] unreduced and U is reduced
-    once, after the loop; d > 1 reduces U' at every step.  ``left`` spans
-    the annihilator of the limit, read off the last reduction of the columns
+    T's last columns are the limit's reduced U', and ``left`` spans the
+    annihilator of sum_k B_k U', read off the last reduction of the columns
     B_k u.
 
     The certificate is verified first: the value against 2n - r - s and
@@ -273,9 +272,8 @@ def _span_certificate(pencil: ConstPencil, reduced: tuple, d: int,
     U = kernel
     W = np.zeros((n, 0), dtype=pencil.value.dtype)
     for _ in range(n + 2):
-        if d > 1:
-            # U': a reduced basis of the n-blocks of U, in substituted_blowup's block order
-            U = mod_column_space(U.reshape(d, n, -1).transpose(1, 0, 2).reshape(n, -1), p)
+        # U': a reduced basis of the n-blocks of U, in substituted_blowup's block order
+        U = mod_column_space(U.reshape(d, n, -1).transpose(1, 0, 2).reshape(n, -1), p)
         # every B_k u, u in U', k live: one scatter of the entries times the rows of U'
         prods = np.zeros((n, lives, U.shape[1]), dtype=U.dtype)
         np.add.at(prods, (pencil.row, slot), pencil.value[:, None] * U[pencil.col] % p)
@@ -295,8 +293,6 @@ def _span_certificate(pencil: ConstPencil, reduced: tuple, d: int,
     else:  # pragma: no cover - monotone dims stabilize within n steps
         raise AssertionError("Wong sequence failed to stabilize")
 
-    if d == 1:
-        U = mod_column_space(U, p)  # T needs the reduced basis of A^-1(W)
     # S: first r rows annihilate sum_k B_k U;  T: last s columns span U
     left = _rref_kernel(RW[:dim], wpivots, p)  # columns x with x . w = 0 for w in the span
     if d * (2 * n - left.shape[1] - U.shape[1]) != rho or np.any(mod_matmul(left.T, flat, p)):

@@ -76,10 +76,11 @@ class TwoMatching:
 
 
 def to_instance(part: PartitionedInstance) -> Instance:
-    """Embed each nonzero block at its position; term order is row-major."""
-    edges = part.edges()
-    if not edges:
-        raise DimensionMismatchError("partitioned instance has no nonzero block")
+    """Embed each nonzero block at its position; term order is row-major.
+
+    A grid without a nonzero block gives one term without entries, block
+    (0, 0): the zero matrix, whose solve is -inf with its certificate."""
+    edges = part.edges() or [(0, 0)]
     i, j = np.array(edges).T
     k, a, b = np.nonzero(part.blocks[i, j])  # term k is block edges[k], entry (a, b) of it
     pencil = ConstPencil._wrap(part.p, 2 * part.n, len(edges), k, 2 * i[k] + a, 2 * j[k] + b,
@@ -149,11 +150,10 @@ def solve_and_extract(part: PartitionedInstance, opts: SolveOptions | None = Non
     else on all tight blocks, that weighs the value and passes
     :func:`is_consistent`, which can only undershoot; so a returned witness is
     valid, and an unlucky substitution on every optimal matching raises
-    ExtractionFailedError.  An nc-singular instance returns (-inf, None).
+    ExtractionFailedError.  An nc-singular instance, a grid without a nonzero
+    block among them, returns (-inf, None).
     """
     opts = opts or SolveOptions()
-    if not part.edges():
-        return MINUS_INFINITY, None
     report, pencil = solve_with_final_pencil(to_instance(part), opts)
     return report.value, extract_witness(part, report.value, pencil, opts)
 

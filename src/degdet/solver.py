@@ -27,8 +27,9 @@ b_k in {0, 1}, entries at degree <= -1 stay there, and truncation keeps their
 order; where b_k is one value b on K, the phase is quiet: shifted by b, that
 pencil leads again and its certificate ends the phase with 0 calls.  A run of
 L quiet phases moves only the degrees, d_L = 2^L d_0 - sum_j 2^(L-j)
-(odd_j - b_j) (see _descend).  A skipped call counts 0 but keeps its random
-draw, so other calls keep seeds.
+(odd_j - b_j) (see _descend).  The i-th oracle call of a solve, the
+singularity call first, gets the i-th draw of the solve's generator, and
+nothing else draws.
 
 With scaling enabled every phase provably needs at most n + 1 oracle calls,
 and coefficients at degree <= -2n can never influence the output; both facts
@@ -219,7 +220,6 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
     opts = opts or SolveOptions()
     n = inst.n
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
-    rng.integers(0, 2**63)  # unused draw: keeps the scaling path's seeds as in 0.1.0
     live = np.flatnonzero(np.bincount(inst.pencil.term, minlength=inst.m))
     shifted, b = normalize_costs(inst.costs, live.tolist())
     cmax = max((shifted[k] for k in live.tolist()), default=1)  # of the terms with entries
@@ -261,9 +261,8 @@ def _descend(const: ConstPencil, shifted: tuple[int, ...], cmax: int, live: np.n
     -depth, as depth >= 2n >= 2, so one mask after the run keeps the same
     entries in the same order.  1 - d at most doubles per phase, so with L
     capped at 2^L (1 - min d_0) <= 2^60 no -2^61 check can fire; near the
-    floor a run is one phase.  A run draws its sum_j (1 + b_j) seeds at once,
-    the same stream, and records D* <- 2 D* - n b_j, 0 calls and an even time
-    share per phase.
+    floor a run is one phase.  A run calls no oracle, so it draws no seed, and
+    records D* <- 2 D* - n b_j, 0 calls and an even time share per phase.
     """
     n, m = const.n, const.m
     N = (cmax - 1).bit_length() if opts.scaling_enabled else 0  # ceil(log2 cmax) for cmax >= 1
@@ -285,7 +284,6 @@ def _descend(const: ConstPencil, shifted: tuple[int, ...], cmax: int, live: np.n
         t0 = time.perf_counter()
         pencil, degree, b = _advance(pencil, degree, odd[theta + 1:], K, lim.depth)
         if b.size:  # quiet: b_j on every term of the last certified leading pencil
-            rng.integers(0, 2**63, size=b.size + int(b.sum()))
             seconds = (time.perf_counter() - t0) / b.size
             for bj in b.tolist():
                 dstar = 2 * dstar - n * bj

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from degdet import cli, instances, partitioned, solve
+from degdet import Certificate, cli, instances, partitioned, solve
 from degdet.cli import main
 from degdet.errors import ExtractionFailedError
 
@@ -457,7 +457,13 @@ def test_a_partitioned_file_without_a_nonzero_block_solves_to_minus_infinity(cap
     report = json.loads(out)
     assert code == 0 and report["mode"] == "partitioned"
     assert report["value"] == "-inf" and report["two_matching"] is None
-    code, out = run_cli(capsys, "verify", str(path), "--oracle", "enumerate2x2")
+    witness = report["singular_certificate"]  # the zero matrix's: r = s = n = 4
+    cert = Certificate(np.array(witness["S"]), np.array(witness["T"]), witness["r"],
+                       witness["s"], 8 - witness["r"] - witness["s"])
+    assert (cert.r, cert.s) == (4, 4) and cert.check(partitioned.to_instance(part).pencil)
+    names = ["commutative", "blowup", "newton", "enumerate2x2"]
+    code, out = run_cli(capsys, "verify", str(path), "--oracle", ",".join(names))
     report = json.loads(out)
     assert code == 0 and report["value"] == "-inf"
-    assert report["oracles"] == [{"oracle": "enumerate2x2", "value": "-inf", "agree": True}]
+    assert report["oracles"] == [{"oracle": name, "value": "-inf", "agree": True}
+                                 for name in names]

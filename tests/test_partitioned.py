@@ -38,10 +38,16 @@ def test_to_instance_shapes():
     assert inst.m == 4 and inst.n == 4
 
 
-def test_to_instance_rejects_all_zero():
+def test_a_grid_without_a_nonzero_block_is_the_zero_matrix():
+    # one term without entries, block (0, 0): its solve is -inf with a witness
     part = gen_2x2(2, seed=2, rank_profile=[[0, 0], [0, 0]])
-    with pytest.raises(DimensionMismatchError):
-        to_instance(part)
+    inst = to_instance(part)
+    assert (inst.m, inst.n, inst.pencil.term.size) == (1, 4, 0)
+    assert inst.costs == (part.costs[0][0],)
+    report = solve(inst)
+    assert is_minus_infinity(report.value)
+    assert report.singular_certificate.check(inst.pencil)
+    assert solve_and_extract(part) == (MINUS_INFINITY, None)
 
 
 def test_is_consistent_doubled_edge():

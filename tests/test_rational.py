@@ -11,8 +11,7 @@ from degdet import (DEFAULT_PRIME, IntegerInstance, SolveOptions, bound_log2,
                     first_primes, gen_integer, is_minus_infinity, prime_budget,
                     solve, solve_R, solve_rational, solve_rational_report)
 from degdet.cli import main
-from degdet.errors import (DimensionMismatchError, IterationBoundExceededError,
-                           NcRankGapError, PrecisionUnsupportedError, RetryExhaustedError)
+from degdet.errors import DimensionMismatchError, IterationBoundExceededError, NcRankGapError
 from degdet.field_linalg import is_prime
 from degdet.instances import load
 
@@ -144,19 +143,19 @@ def test_result_is_order_free_over_primes():
 
 def test_all_primes_failed(monkeypatch):
     import degdet.rational as rational
-    from degdet.errors import AllPrimesFailedError, PrecisionUnsupportedError
+    from degdet.errors import AllPrimesFailedError
 
     inst = gen_integer(2, 2, seed=5, entry_bound=2, cost_range=(1, 5))
 
     def always_fails(reduced, opts):
-        raise PrecisionUnsupportedError("forced for the error path")
+        raise NcRankGapError("forced for the error path")
 
     monkeypatch.setattr(rational, "solve", always_fails)
     with pytest.raises(AllPrimesFailedError):
         rational.solve_rational(inst)
 
 
-def _skip_where(monkeypatch, fails, error=PrecisionUnsupportedError):
+def _skip_where(monkeypatch, fails, error=NcRankGapError):
     """Patch the per-prime solve to raise `error` on every prime for which fails(index, p)."""
     import degdet.rational as rational
 
@@ -202,6 +201,18 @@ def test_a_prime_whose_solve_finds_no_certificate_is_skipped(monkeypatch):
     assert solved[:3] == list(budget.primes[1:]) and solved[3] < budget.primes[-1]
     assert math.prod(solved) >= 2**budget.ell
     assert report.value == expected
+
+
+def test_an_iteration_bound_error_propagates_out_of_the_pipeline(monkeypatch):
+    # n + 1 calls per phase is a proven bound, so exceeding it is a bug that
+    # must surface, not a prime to skip
+    inst = gen_integer(4, 2, seed=3, entry_bound=2, cost_range=(-20, 20))
+    budget = prime_budget(inst.n, inst.entry_bound)
+    calls = _skip_where(monkeypatch, lambda idx, p: p == budget.primes[1],
+                        IterationBoundExceededError)
+    with pytest.raises(IterationBoundExceededError, match="forced skip"):
+        solve_rational_report(inst, SolveOptions(seed=1))
+    assert calls == list(budget.primes[:2])
 
 
 def test_miller_rabin_runs_once_per_distinct_prime(monkeypatch):
@@ -295,8 +306,8 @@ def solve_R_rounds(pencil, seed, rounds):
 
 def first_primes_value(inst, seed):
     """The first-primes choice: max over the first bound_log2 primes.  As the
-    pipeline does, a prime whose solve raises is skipped; tiny fields get
-    ceil(32 / q) times solve_R's 3n samples per oracle call."""
+    pipeline does, a prime whose solve raises NcRankGapError is skipped; tiny
+    fields get ceil(32 / q) times solve_R's 3n samples per oracle call."""
     values = []
     with pytest.MonkeyPatch.context() as mp:
         for q in first_primes(bound_log2(inst.n, inst.entry_bound)):
@@ -304,8 +315,7 @@ def first_primes_value(inst, seed):
                 solve_R_rounds, rounds=max(1, -(-32 // q))))
             try:
                 values.append(solve(inst.reduce_mod(q), SolveOptions(seed=seed)).value)
-            except (PrecisionUnsupportedError, RetryExhaustedError,
-                    IterationBoundExceededError):
+            except NcRankGapError:
                 continue
     return max(values)
 

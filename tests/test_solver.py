@@ -4,7 +4,7 @@ import pytest
 from degdet import (DEFAULT_PRIME, Certificate, Instance,
                     LaurentMatrix, LaurentPencil, MINUS_INFINITY, SolveOptions,
                     gen_bipartite, gen_dense, gen_integer, is_minus_infinity, leading,
-                    normalize_costs, random_bipartite_weights, run_phase, solve, solve_R,
+                    normalize_costs, run_phase, solve, solve_R,
                     solve_with_final_pencil)
 from degdet.errors import DimensionMismatchError, IterationBoundExceededError
 
@@ -90,11 +90,30 @@ def test_run_phase_steps_once_per_missing_degree_of_a_hand_built_pencil(monkeypa
     assert (dstar, iters, leads) == (10 - 3 * 2, 4, [0, 0, 0, 2])
 
 
-def test_skipped_oracle_calls_keep_their_draws():
-    # the calls that remain get the seeds they had: at p = 3 this solve's
-    # oracle finds no certificate when the skipped calls stop drawing
-    grid = random_bipartite_weights(5, 49, (-5, 5), 0.6)
-    assert solve(gen_bipartite(grid, p=3), SolveOptions(seed=1)).value == 16
+@pytest.mark.parametrize("scaling", [True, False], ids=["scaling", "no-scaling"])
+@pytest.mark.parametrize("make, quiet", [
+    (lambda: gen_integer(5, 6, 7, 10, (-10**6, 10**6)).reduce_mod(2**31 - 1), 17),
+    (lambda: gen_bipartite([[1, 2, None], [3, None, None], [4, None, None]]), 0),
+], ids=["integer-n5", "singular"])
+def test_the_ith_oracle_call_gets_the_ith_draw(monkeypatch, make, quiet, scaling):
+    # every solve_R call, the singularity call first, takes the next draw of
+    # the solve's generator, and nothing else draws: not quiet phases
+    import degdet.solver as solver
+
+    seeds = []
+
+    def recorded(pencil, seed):
+        seeds.append(seed)
+        return solve_R(pencil, seed)
+
+    monkeypatch.setattr(solver, "solve_R", recorded)
+    report = solve(make(), SolveOptions(seed=3, scaling_enabled=scaling))
+    assert report.iterations.count(0) == (quiet if scaling else 0)
+    # without scaling, and on a singular instance, the singularity call is extra
+    extra = int(not scaling or is_minus_infinity(report.value))
+    assert len(seeds) == report.oracle_calls + extra
+    rng = np.random.default_rng(np.random.SeedSequence(3))
+    assert seeds == [int(rng.integers(0, 2**63)) for _ in seeds]
 
 
 @pytest.mark.parametrize("make", [
