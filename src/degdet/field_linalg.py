@@ -10,6 +10,8 @@ configured exotic primes.
 That choice is made here only: :func:`_dtype_for` names the dtype of a
 modulus, :func:`as_residues` makes every residue array and :func:`mod_matmul`
 is the one modular product, so no other copy of it can overflow at 62 bits.
+So is what an integer is: :func:`as_integers` checks every entry, cost,
+weight, degree, modulus, seed and depth a caller hands in.
 An int64 product is one ``np.matmul`` when k (p-1)^2 < 2**63 for inner
 dimension k, and is split into 16-bit halves of the left operand otherwise.
 
@@ -41,9 +43,10 @@ _PROVEN: dict[int, None] = {}  # the last primes is_prime accepted, oldest first
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n < 2**64.  The last 1024
-    primes it accepted are remembered, so each is tested once while it stays."""
-    if type(n) is int and n in _PROVEN:  # the pow below refuses floats and numpy ints
+    """Deterministic Miller-Rabin, exact for every integer n < 2**64.  The last
+    1024 primes it accepted are remembered, so each is tested once while it stays."""
+    n = as_integers(n, "n", 0)
+    if n in _PROVEN:
         return True
     if n < 2:
         return False
@@ -77,28 +80,57 @@ class PrimeModulus:
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 2 or self.p >= 2**62:
-            raise NonPrimeError(f"modulus must be a prime in [2, 2**62): got {self.p!r}")
-        if not is_prime(self.p):
-            raise NonPrimeError(f"modulus {self.p} is not prime")
+        p = as_integers(self.p, "modulus", 0)
+        if p < 2 or p >= 2**62:
+            raise NonPrimeError(f"modulus must be a prime in [2, 2**62): got {p}")
+        if not is_prime(p):
+            raise NonPrimeError(f"modulus {p} is not prime")
+        object.__setattr__(self, "p", p)
 
 
 def _dtype_for(p: int):
     return np.int64 if p <= _INT64_SAFE_MAX else object
 
 
-def as_residues(data, p: int) -> np.ndarray:
-    """Coerce nested sequences / arrays of any shape to a reduced residue array mod p.
+def as_integers(data, what: str, ndim: int | None = None):
+    """`data` (nested sequences or an array) as an integer array, int64 when
+    every entry fits, else Python ints; an int64 array comes back as itself.
 
-    A ragged nesting raises :class:`DimensionMismatchError`.
+    Python and numpy integers pass; a float (2.0 too), a boolean, a string,
+    None or a ragged nesting raises DimensionMismatchError naming `what`.
+    With `ndim` the array needs that many axes, and ndim=0 returns a Python int.
     """
-    try:
-        arr = np.asarray(data)
-    except ValueError as exc:  # numpy refuses an inhomogeneous shape
-        raise DimensionMismatchError(f"residue data is ragged: {exc}") from exc
+    if ndim == 0 and (type(data) is int or isinstance(data, np.integer)):
+        return int(data)
+    if isinstance(data, np.ndarray) and data.dtype.kind in "iu":
+        wide = data.dtype == np.uint64 and data.size and data.max() >= 2**63
+        arr = data.astype(object if wide else np.int64, copy=False)
+    else:
+        try:
+            arr = np.array(data, dtype=object)  # keeps ragged rows as list entries
+        except ValueError as exc:  # numpy refuses some inhomogeneous shapes outright
+            raise DimensionMismatchError(f"{what} is ragged: {exc}") from exc
+        bad = sorted(t.__name__ for t in set(map(type, arr.flat)) - {int}
+                     if not issubclass(t, np.integer))
+        if bad:
+            raise DimensionMismatchError(f"{what} must hold integers only, not {', '.join(bad)}")
+        try:
+            arr = arr.astype(np.int64)
+        except OverflowError:  # an entry beyond int64: every entry as a Python int
+            arr = np.array([int(v) for v in arr.flat], dtype=object).reshape(arr.shape)
+    if ndim is not None and arr.ndim != ndim:
+        raise DimensionMismatchError(f"{what} must have {ndim} axes, not shape {arr.shape}")
+    return arr.item() if ndim == 0 else arr
+
+
+def as_residues(data, p: int) -> np.ndarray:
+    """A new array of the residues mod p of `data`, integers of any shape
+    (:func:`as_integers`)."""
+    arr = data if isinstance(data, np.ndarray) and data.dtype == np.int64 \
+        else as_integers(data, "residue data")
     if arr.dtype == object or p > _INT64_SAFE_MAX:
-        return np.asarray(np.vectorize(int, otypes=[object])(arr) % p, dtype=_dtype_for(p))
-    return np.asarray(arr, dtype=np.int64) % p
+        return np.asarray(arr.astype(object) % p, dtype=_dtype_for(p))
+    return arr % p
 
 
 def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

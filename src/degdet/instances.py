@@ -1,10 +1,12 @@
 """Problem instances, generators for the supported problem classes, and
-bit-exact JSON serialization.
+lossless JSON serialization.
 
 Each instance holds its coefficients read-only: `Instance.pencil` (a ConstPencil
 of the nonzero residues; `stack` and `mats` are built from it on each read),
-`IntegerInstance.mats` (m x n x n Python ints) and `PartitionedInstance.blocks`
+`IntegerInstance.mats` (an m x n x n integer array) and `PartitionedInstance.blocks`
 (n x n x 2 x 2 residues, `blocks[i, j]` = A_ij).  Equality compares by value.
+Every integer they take passes :func:`~degdet.field_linalg.as_integers`, so a
+float, a boolean or a string is refused, in memory and from a file alike.
 
 The file format is JSON with explicit integer arrays: `version`, `n`, `m`,
 `costs`, optional `prime`, and a free-form `meta` object.  A field instance
@@ -22,13 +24,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, FormatError, NonPrimeError
-from .field_linalg import DEFAULT_PRIME, FieldMatrix, PrimeModulus, as_residues, mod_matmul
+from .field_linalg import (DEFAULT_PRIME, FieldMatrix, PrimeModulus, as_integers, as_residues,
+                           mod_matmul)
 from .ncrank import ConstPencil
 
 SCHEMA_VERSION = 1
@@ -38,11 +40,11 @@ _ENTRY_KEYS = ("term", "row", "col", "value")  # a file's `entries` lists, in so
 class _ArrayFields:
     """Base of the instance dataclasses: read-only arrays, compared by value."""
 
-    def _store(self, costs: tuple, **arrays: np.ndarray) -> None:
-        for name, arr in arrays.items():
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "costs", costs)
+    def _store(self, **values) -> None:
+        for name, value in values.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "meta", dict(self.meta))
 
     def __eq__(self, other):
@@ -73,9 +75,10 @@ class Instance(_ArrayFields):
     meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.pencil.p != self.p or len(self.costs) != self.pencil.m:
+        costs = as_integers(self.costs, "costs", 1)
+        if self.pencil.p != self.p or len(costs) != self.pencil.m:
             raise DimensionMismatchError(f"need a pencil over GF({self.p}) and one cost per term")
-        self._store(tuple(int(c) for c in self.costs))
+        self._store(costs=tuple(costs.tolist()))
 
     @property
     def p(self) -> int:
@@ -108,7 +111,8 @@ class Instance(_ArrayFields):
 @dataclass(frozen=True, eq=False)
 class IntegerInstance(_ArrayFields):
     """An instance over the integers, destined for per-prime reduction; `mats`
-    is one (m, n, n) object array of Python ints."""
+    is one (m, n, n) array, int64 (fast to reduce) when every entry fits, else
+    Python ints."""
 
     n: int
     m: int
@@ -117,36 +121,24 @@ class IntegerInstance(_ArrayFields):
     meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        try:
-            arr = np.asarray(self.mats)
-        except ValueError as exc:  # numpy refuses an inhomogeneous shape
-            raise DimensionMismatchError(f"integer matrices are ragged: {exc}") from exc
-        if min(self.n, self.m) < 1 or arr.shape != (self.m, self.n, self.n) \
-                or len(self.costs) != self.m:
+        n, m = as_integers(self.n, "n", 0), as_integers(self.m, "m", 0)
+        mats = as_integers(self.mats, "mats")
+        costs = as_integers(self.costs, "costs", 1)
+        if min(n, m) < 1 or mats.shape != (m, n, n) or len(costs) != m:
             raise DimensionMismatchError("need m >= 1 integer n x n matrices, n >= 1, and m costs")
-        self._store(tuple(int(c) for c in self.costs),
-                    mats=np.vectorize(int, otypes=[object])(arr))
+        self._store(n=n, m=m, mats=mats.copy() if mats is self.mats else mats,
+                    costs=tuple(costs.tolist()))
+        self.entry_bound  # checks meta.entry_bound, which the prime budget reads
 
     @property
     def entry_bound(self) -> int:
         """Largest |entry|, floored at 1; the larger of this and any recorded
         meta bound drives the prime budget."""
-        recorded = int(self.meta.get("entry_bound", 0))
-        return max(1, int(abs(self.mats).max()), recorded)
+        recorded = as_integers(self.meta.get("entry_bound", 0), "meta.entry_bound", 0)
+        return max(1, abs(self.mats.astype(object)).max(), recorded)
 
     def reduce_mod(self, p: int) -> Instance:
-        return Instance.from_arrays(p, self._words, self.costs,
-                                    {**self.meta, "reduced_mod": p})
-
-    @cached_property
-    def _words(self) -> np.ndarray:
-        """`mats` as read-only int64 when every entry fits, which reduces mod p
-        several times faster than Python ints; else `mats` itself."""
-        if int(abs(self.mats).max()) >= 2**63:
-            return self.mats
-        words = self.mats.astype(np.int64)
-        words.flags.writeable = False
-        return words
+        return Instance.from_arrays(p, self.mats, self.costs, {**self.meta, "reduced_mod": p})
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,11 +153,11 @@ class PartitionedInstance(_ArrayFields):
 
     def __post_init__(self):
         arr = as_residues(self.blocks, self.p)
+        costs = as_integers(self.costs, "block costs")
         n = arr.shape[0] if arr.ndim == 4 else 0
-        if n < 1 or arr.shape != (n, n, 2, 2) or len(self.costs) != n \
-                or any(len(row) != n for row in self.costs):
+        if n < 1 or arr.shape != (n, n, 2, 2) or costs.shape != (n, n):
             raise DimensionMismatchError(f"need (n, n, 2, 2) blocks, n x n costs; got {arr.shape}")
-        self._store(tuple(tuple(int(c) for c in row) for row in self.costs), blocks=arr)
+        self._store(blocks=arr, costs=tuple(map(tuple, costs.tolist())))
 
     @property
     def p(self) -> int:
@@ -197,17 +189,16 @@ def gen_bipartite(weights: Sequence[Sequence[int | None]], p: int = DEFAULT_PRIM
     n = len(weights)
     if any(len(row) != n for row in weights):
         raise DimensionMismatchError("weight grid must be square")
-    cells = [(i, j, int(w)) for i, row in enumerate(weights)
-             for j, w in enumerate(row) if w is not None]
+    grid = [[None if w is None else as_integers(w, "weights", 0) for w in row] for row in weights]
+    cells = [(i, j, w) for i, row in enumerate(grid) for j, w in enumerate(row) if w is not None]
     if not cells:
         raise DimensionMismatchError("bipartite instance needs at least one present cell")
     rows, cols, costs = zip(*cells)
-    base = {"generator": "bipartite",
-            "weights": [[None if w is None else int(w) for w in row] for row in weights]}
+    base = {"generator": "bipartite", "weights": grid}
     base.update(meta or {})
     return Instance(PrimeModulus(p), ConstPencil._wrap(  # p checked first; one unit entry a term
         p, n, len(cells), np.arange(len(cells)), np.array(rows), np.array(cols),
-        as_residues([1] * len(cells), p)), costs, base)
+        as_residues(np.ones(len(cells), np.int64), p)), costs, base)
 
 
 def random_bipartite_weights(n: int, seed: int, cost_range: tuple[int, int] = (-10, 10),
@@ -238,7 +229,7 @@ def gen_rank1(n: int, m: int, seed: int, cost_range: tuple[int, int] = (-10, 10)
         v = rng.integers(0, p, size=(1, n))
         mats.append(mod_matmul(u, v, p))
         costs.append(int(rng.integers(lo, hi + 1)))
-    return Instance.from_arrays(p, mats, costs, {"generator": "rank1", "seed": seed})
+    return Instance.from_arrays(p, np.array(mats), costs, {"generator": "rank1", "seed": seed})
 
 
 def gen_dense(n: int, m: int, seed: int, cost_range: tuple[int, int] = (-10, 10),
@@ -248,7 +239,7 @@ def gen_dense(n: int, m: int, seed: int, cost_range: tuple[int, int] = (-10, 10)
     lo, hi = cost_range
     mats = [rng.integers(0, p, size=(n, n)) for _ in range(m)]
     costs = [int(rng.integers(lo, hi + 1)) for _ in range(m)]
-    return Instance.from_arrays(p, mats, costs, {"generator": "dense", "seed": seed})
+    return Instance.from_arrays(p, np.array(mats), costs, {"generator": "dense", "seed": seed})
 
 
 def gen_integer(n: int, m: int, seed: int, entry_bound: int = 3,
@@ -258,7 +249,7 @@ def gen_integer(n: int, m: int, seed: int, entry_bound: int = 3,
     lo, hi = cost_range
     mats = [rng.integers(-entry_bound, entry_bound + 1, size=(n, n)) for _ in range(m)]
     costs = [int(rng.integers(lo, hi + 1)) for _ in range(m)]
-    return IntegerInstance(n, m, tuple(mats), tuple(costs),
+    return IntegerInstance(n, m, np.array(mats), tuple(costs),
                            {"generator": "integer", "seed": seed, "entry_bound": entry_bound})
 
 
@@ -282,16 +273,16 @@ def _random_block_of_rank(rank: int, rng: np.random.Generator, p: int) -> np.nda
 def gen_2x2(n: int, seed: int, rank_profile: Sequence[Sequence[int]],
             cost_range: tuple[int, int] = (-10, 10), p: int = DEFAULT_PRIME) -> PartitionedInstance:
     """Partitioned instance whose block (i, j) has the prescribed rank in {0, 1, 2}."""
+    ranks = as_integers(rank_profile, "rank profile")
+    if ranks.shape != (n, n) or not np.isin(ranks, (0, 1, 2)).all():
+        raise DimensionMismatchError("the rank profile must be n x n, each entry 0, 1, or 2")
     rng = np.random.default_rng(seed)
     lo, hi = cost_range
     blocks = np.zeros((n, n, 2, 2), dtype=object)
     costs = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            rank = int(rank_profile[i][j])
-            if rank not in (0, 1, 2):
-                raise DimensionMismatchError("rank profile entries must be 0, 1, or 2")
-            blocks[i, j] = _random_block_of_rank(rank, rng, p)
+            blocks[i, j] = _random_block_of_rank(ranks[i, j], rng, p)
             costs[i][j] = int(rng.integers(lo, hi + 1))
     return PartitionedInstance(PrimeModulus(p), blocks, costs,
                                {"generator": "partitioned2x2", "seed": seed})
@@ -312,7 +303,7 @@ def _meta_jsonable(meta: Mapping) -> dict:
 
 
 def save(inst: Instance | IntegerInstance | PartitionedInstance) -> bytes:
-    """Canonical JSON bytes; load(save(x)) == x exactly."""
+    """Canonical JSON bytes; load(save(x)) == x."""
     if isinstance(inst, Instance):
         doc = {"version": SCHEMA_VERSION, "prime": inst.p, "n": inst.n, "m": inst.m,
                "costs": list(inst.costs), "meta": _meta_jsonable(inst.meta)}
@@ -335,42 +326,20 @@ def save(inst: Instance | IntegerInstance | PartitionedInstance) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _ints(values: Sequence, what: str) -> Sequence:
-    """`values` unchanged if every one is a JSON integer; FormatError for a
-    float, string or boolean, which conversion would otherwise truncate."""
-    if any(type(v) is not int for v in values):
-        raise FormatError(f"{what} must hold integers only")
-    return values
-
-
-def _int_array(value, what: str, exact: bool) -> np.ndarray:
-    """`value` as an integer array, checked by its dtype rather than per entry.
-
-    numpy reads a JSON true/false among integers as 1/0, which the dtype does
-    not show, so `exact` (the file holds such a literal somewhere) checks the
-    type of every entry.  Any dtype but int64 is checked per entry and kept
-    as Python ints: ints beyond int64, an empty list (float64), and values in
-    [2**63, 2**64), which numpy reads as uint64 (wrapping when cast to int64)
-    or, among smaller ints, as float64.
-    """
-    arr = np.array(value)
-    if exact or arr.dtype.kind != "i":
-        obj = np.array(value, dtype=object)
-        _ints(obj.ravel(), what)
-        return arr if arr.dtype.kind == "i" else obj
-    return arr
-
-
 def _check_header(doc: dict, **sizes: int) -> None:
     """FormatError when a size the file states disagrees with its arrays."""
     for key, size in sizes.items():
-        if key in doc and _ints([doc[key]], key)[0] != size:
+        if key in doc and as_integers(doc[key], key, 0) != size:
             raise FormatError(f"header {key}={doc[key]} disagrees with the arrays ({size})")
 
 
 def load(data: bytes) -> Instance | IntegerInstance | PartitionedInstance:
-    """Parse instance bytes; raises FormatError / NonPrimeError on bad input,
-    including any non-integer number where the format asks for an integer."""
+    """Parse instance bytes; raises FormatError / NonPrimeError on bad input.
+
+    The constructors check every integer (:func:`~degdet.field_linalg.as_integers`),
+    so a float, a boolean or a string where the format asks for an integer is
+    a FormatError; `load` itself checks the keys, the header sizes, the entry
+    ranges and that no cell is given twice."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -380,45 +349,38 @@ def load(data: bytes) -> Instance | IntegerInstance | PartitionedInstance:
     version = doc.get("version")
     if version != SCHEMA_VERSION:
         raise FormatError(f"unsupported schema version {version!r}")
-    exact = b"true" in data or b"false" in data
     try:
         if "blocks" in doc:
-            return _load_partitioned(doc, exact)
+            return _load_partitioned(doc)
         if "prime" in doc:
-            p = _ints([doc["prime"]], "prime")[0]
-            modulus = PrimeModulus(p)  # raises NonPrimeError on composite moduli
+            modulus = PrimeModulus(doc["prime"])  # raises NonPrimeError on composite moduli
             if "entries" in doc:
-                return Instance(modulus, _load_entries(doc, p, exact),
-                                _ints(doc["costs"], "costs"), doc.get("meta", {}))
-            inst = Instance.from_arrays(p, _int_array(doc["mats"], "mats", exact),
-                                        _ints(doc["costs"], "costs"), doc.get("meta", {}))
+                return Instance(modulus, _load_entries(doc, modulus.p), doc["costs"],
+                                doc.get("meta", {}))
+            inst = Instance.from_arrays(modulus.p, doc["mats"], doc["costs"], doc.get("meta", {}))
             _check_header(doc, n=inst.n, m=inst.m)
             return inst
-        n, m = _ints([doc["n"], doc["m"]], "n and m")
-        inst = IntegerInstance(n, m, _int_array(doc["mats"], "mats", exact),
-                               _ints(doc["costs"], "costs"), doc.get("meta", {}))
-        _ints([inst.meta.get("entry_bound", 0)], "meta.entry_bound")  # read by prime_budget
-        return inst
+        return IntegerInstance(doc["n"], doc["m"], doc["mats"], doc["costs"], doc.get("meta", {}))
     except NonPrimeError:
         raise
     except (KeyError, TypeError, ValueError, IndexError, DimensionMismatchError) as exc:
         raise FormatError(f"malformed instance file: {exc}") from exc
 
 
-def _load_entries(doc: dict, p: int, exact: bool) -> ConstPencil:
+def _load_entries(doc: dict, p: int) -> ConstPencil:
     """The pencil of a field file's `entries`, in (term, row, col) order as
     ConstPencil(p, stack) keeps the same terms; FormatError on any bad entry."""
     listed = doc["entries"]
     if "mats" in doc or not isinstance(listed, dict) or set(listed) != set(_ENTRY_KEYS):
         raise FormatError(f"a field file holds mats or entries {list(_ENTRY_KEYS)}, not both")
-    n, m = _ints([doc["n"], doc["m"]], "n and m")
-    arrays = [_int_array(listed[key], f"entries.{key}", exact) for key in _ENTRY_KEYS]
+    n, m = as_integers(doc["n"], "n", 0), as_integers(doc["m"], "m", 0)
+    arrays = [as_integers(listed[key], f"entries.{key}") for key in _ENTRY_KEYS]
     if min(n, m) < 1 or any(arr.ndim != 1 or len(arr) != len(arrays[0]) for arr in arrays):
         raise FormatError("entries need n, m >= 1 and four flat lists of one length")
     for key, arr, size in zip(_ENTRY_KEYS, arrays, (m, n, n)):
         if len(arr) and not 0 <= arr.min() <= arr.max() < size:
             raise FormatError(f"entries.{key} must lie in [0, {size})")
-    term, row, col = (np.asarray(arr, dtype=np.int64) for arr in arrays[:3])
+    term, row, col = arrays[:3]  # int64, as they lie in range
     order = np.lexsort((col, row, term))
     term, row, col = term[order], row[order], col[order]
     if np.any((np.diff(term) == 0) & (np.diff(row) == 0) & (np.diff(col) == 0)):
@@ -435,14 +397,12 @@ def _residue_pencil(p: int, n: int, m: int, term: np.ndarray, row: np.ndarray,
     return ConstPencil._wrap(p, n, m, term[keep], row[keep], col[keep], value[keep])
 
 
-def _load_partitioned(doc: dict, exact: bool) -> PartitionedInstance:
-    p = _ints([doc.get("prime", DEFAULT_PRIME)], "prime")[0]
-    PrimeModulus(p)
-    full = _int_array(doc["blocks"], "blocks", exact)
+def _load_partitioned(doc: dict) -> PartitionedInstance:
+    modulus = PrimeModulus(doc.get("prime", DEFAULT_PRIME))
+    full = as_integers(doc["blocks"], "blocks")
     if full.ndim != 2 or full.shape[0] != full.shape[1] or full.shape[0] % 2:
         raise FormatError("partitioned blocks must form a square even-sized matrix")
     n = full.shape[0] // 2
     _check_header(doc, n=n)
     blocks = full.reshape(n, 2, n, 2).transpose(0, 2, 1, 3)
-    costs = [_ints(row, "block_costs") for row in doc["block_costs"]]
-    return PartitionedInstance(PrimeModulus(p), blocks, costs, doc.get("meta", {}))
+    return PartitionedInstance(modulus, blocks, doc["block_costs"], doc.get("meta", {}))

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, PositiveDegreeError, SizeLimitError
-from .field_linalg import _dtype_for, as_residues, mod_matmul
+from .field_linalg import _dtype_for, as_integers, as_residues, mod_matmul
 from .ncrank import ConstPencil
 
 
@@ -37,6 +37,7 @@ class LaurentMatrix:
     def __post_init__(self):
         cleaned: dict[int, np.ndarray] = {}
         for deg, mat in self.coeffs.items():
+            deg = as_integers(deg, "degree", 0)
             if deg > 0:
                 raise PositiveDegreeError(f"coefficient stored at positive degree {deg}")
             arr = as_residues(mat, self.p)
@@ -118,7 +119,7 @@ class LaurentPencil:
                        ) -> "LaurentPencil":
         """B_k = mats[k] t^degrees[k] (degree 0 by default); zero entries store nothing."""
         pen = ConstPencil(p, mats)
-        degree = np.zeros(pen.m, np.int64) if degrees is None else np.array(degrees, np.int64)
+        degree = np.zeros(pen.m, np.int64) if degrees is None else as_integers(degrees, "degrees")
         if degree.shape != (pen.m,):
             raise DimensionMismatchError(f"need m = {pen.m} degrees, got {degree.shape}")
         if np.any(degree > 0):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, PrecisionUnsupportedError,
                      RetryExhaustedError, SizeLimitError)
-from .field_linalg import as_residues, batch_pow, mod_matmul
+from .field_linalg import as_integers, as_residues, batch_pow, mod_matmul
 from .infinity import MINUS_INFINITY, MinusInfinity, is_minus_infinity
 from .instances import Instance
 from .ncrank import build_blowup
@@ -195,13 +195,13 @@ def hungarian(weights: Sequence[Sequence[int | None]]) -> int | MinusInfinity:
     n = len(weights)
     if n == 0 or any(len(row) != n for row in weights):
         raise DimensionMismatchError("weights must form a nonempty square grid")
-    wmax = max((abs(w) for row in weights for w in row if w is not None), default=0)
+    grid = [[None if w is None else as_integers(w, "weights", 0) for w in row] for row in weights]
+    wmax = max((abs(w) for row in grid for w in row if w is not None), default=0)
     big = (2 * wmax + 1) * (n + 1) + 1
     inf = big * (n + 2)
     a = [[0] * (n + 1)]
-    for i in range(n):
-        a.append([0] + [big if weights[i][j] is None else -int(weights[i][j])
-                        for j in range(n)])
+    for row in grid:
+        a.append([0] + [big if w is None else -w for w in row])
     u = [0] * (n + 1)
     v = [0] * (n + 1)
     match = [0] * (n + 1)  # match[j] = row assigned to column j

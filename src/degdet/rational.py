@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from itertools import count
 
 from .errors import AllPrimesFailedError, DimensionMismatchError, NcRankGapError
-from .field_linalg import is_prime
+from .field_linalg import as_integers, is_prime
 from .infinity import MinusInfinity
 from .instances import IntegerInstance
 from .solver import SolveOptions, solve
@@ -131,7 +131,7 @@ def solve_rational_report(inst: IntegerInstance, opts: SolveOptions | None = Non
             raise AllPrimesFailedError(
                 f"{skipped} primes skipped, as many as the budget holds: " +
                 "; ".join(f"p={o.prime} ({o.reason})" for o in outcomes if o.skipped))
-        seed = (opts.seed * 0x9E3779B1 + idx * 0x85EBCA77 + p) % (2**63)
+        seed = (as_integers(opts.seed, "seed", 0) * 0x9E3779B1 + idx * 0x85EBCA77 + p) % (2**63)
         per_prime = replace(opts, seed=seed)
         try:
             reduced = inst.reduce_mod(p)

@@ -75,6 +75,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, IterationBoundExceededError, SizeLimitError
+from .field_linalg import as_integers
 from .infinity import MINUS_INFINITY, MinusInfinity
 from .instances import Instance
 from .laurent import LaurentPencil, leading, step_update, truncate
@@ -97,7 +98,7 @@ class SolveOptions:
 class SolveReport:
     value: int | MinusInfinity
     dstar_trace: tuple[int, ...]
-    iterations: tuple[int, ...]  # oracle calls per phase; 0 when every call is skipped
+    iterations: tuple[int, ...]  # oracle calls per phase; 0 for a quiet phase
     phases: int
     oracle_calls: int
     shift_applied: int
@@ -123,15 +124,18 @@ def _limits(opts: SolveOptions, n: int, cmax: int) -> _Limits:
     truncation on, an explicit depth below 2n (zero and negative depths
     included), or any explicit depth without scaling, could silently change
     the value, so it raises DimensionMismatchError; with truncation off the
-    depth is unused.
+    depth is unused.  A seed or a used depth that is not an integer (see
+    as_integers), or a negative seed, raises DimensionMismatchError too.
     """
+    if as_integers(opts.seed, "seed", 0) < 0:
+        raise DimensionMismatchError(f"seed must be nonnegative, got {opts.seed}")
     safe = 2 * n
     depth = None
     if opts.truncation_enabled:
         depth = opts.truncation_depth
         if depth is None:
             depth = safe if opts.scaling_enabled else None
-        elif depth < safe or not opts.scaling_enabled:
+        elif as_integers(depth, "truncation_depth", 0) < safe or not opts.scaling_enabled:
             raise DimensionMismatchError(
                 f"truncation_depth={depth} is not proven safe: it needs scaling "
                 f"and a depth of at least 2n = {safe}")
@@ -147,9 +151,10 @@ def normalize_costs(costs: Sequence[int], live: Sequence[int] | None = None
     and clamp any other term's shifted cost up to 1; deg Det recovers as
     value(shifted) - n*b.  :func:`solve` passes the terms with entries: no
     other term can change deg Det, and the clamp keeps its degree at 0."""
+    costs = as_integers(costs, "costs", 1).tolist()
     pool = costs if live is None else [costs[k] for k in live]
-    b = max(0, 1 - int(min(pool, default=1)))
-    return tuple(max(int(c) + b, 1) for c in costs), b
+    b = max(0, 1 - min(pool, default=1))
+    return tuple(max(c + b, 1) for c in costs), b
 
 
 def _run_phase(pencil: LaurentPencil, dstar: int, rng: np.random.Generator, lim: _Limits
@@ -186,10 +191,10 @@ def run_phase(pencil: LaurentPencil, dstar: int, opts: SolveOptions | None = Non
     raising every degree by 1, so with scaling the phase bound is n + 1 + g.
     """
     opts = opts or SolveOptions()
-    rng = np.random.default_rng(opts.seed)
     # the no-scaling cap of a solve whose cost-1 term sits at the lowest degree
     cmax = 1 - int(pencil.degree.min(initial=0))
     lim = _limits(opts, pencil.n, cmax)
+    rng = np.random.default_rng(opts.seed)
     if opts.scaling_enabled and pencil.degree.size:  # g = -(top degree) steps to lead
         lim = lim._replace(bound=lim.bound + max(0, -int(pencil.degree.max())))
     return _run_phase(pencil, dstar, rng, lim)[:3]
@@ -219,11 +224,11 @@ def solve_with_final_pencil(inst: Instance, opts: SolveOptions | None = None
     """
     opts = opts or SolveOptions()
     n = inst.n
-    rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
     live = np.flatnonzero(np.bincount(inst.pencil.term, minlength=inst.m))
     shifted, b = normalize_costs(inst.costs, live.tolist())
     cmax = max((shifted[k] for k in live.tolist()), default=1)  # of the terms with entries
     lim = _limits(opts, n, cmax)
+    rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
 
     pencil = witness = None
     done: list[tuple[int, int, float]] = []  # (D*, oracle calls, seconds) per phase

@@ -139,7 +139,8 @@ def test_preimage_and_span_union_refuse_mixed_moduli():
     with pytest.raises(DimensionMismatchError, match="modulus"):
         span_union([M], W)
     with pytest.raises(DimensionMismatchError, match="modulus"):
-        span_union([FieldMatrix(5, np.eye(2)), FieldMatrix(7, np.eye(2))], eye(5, 2))
+        span_union([FieldMatrix(5, np.eye(2, dtype=int)), FieldMatrix(7, np.eye(2, dtype=int))],
+                   eye(5, 2))
 
 
 def test_span_union_examples():

@@ -212,7 +212,7 @@ def test_integer_reduce_mod_gives_the_residues_of_the_python_ints(top, p):
     # either way the residues are the exact ones
     mats = np.array([[[top, -7], [0, 10**12]], [[1, -1], [-(top // 3), 5]]], dtype=object)
     inst = IntegerInstance(2, 2, mats, [0, 1])
-    assert (inst._words.dtype == np.int64) == (abs(top) < 2**63)
+    assert (inst.mats.dtype == np.int64) == (-2**63 <= top < 2**63)
     want = [[[int(x) % p for x in row] for row in mat] for mat in mats.tolist()]
     assert inst.reduce_mod(p).stack.tolist() == want
 

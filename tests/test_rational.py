@@ -245,9 +245,9 @@ def test_remembered_primes_are_bounded_and_never_composite(monkeypatch):
     # trial division answers the primes up to 37, so only the Miller-Rabin ones
     # are remembered, the last 1024 of them, oldest first
     assert list(field_linalg._PROVEN) == primes[-1024:]
-    for other in (float(primes[-1]), np.int64(primes[-1])):  # still refused, as by pow
-        with pytest.raises(TypeError):
-            is_prime(other)
+    assert is_prime(np.int64(primes[-1]))  # a numpy integer is an integer; a float is not
+    with pytest.raises(DimensionMismatchError):
+        is_prime(float(primes[-1]))
 
 
 @pytest.mark.parametrize("fails", [lambda idx, p: idx % 2 == 0, lambda idx, p: idx > 0],
